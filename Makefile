@@ -14,7 +14,7 @@ BENCH_N ?= 4
 # Baseline report that bench-compare diffs against.
 BENCH_BASE ?= BENCH_3.json
 
-.PHONY: all build vet test test-short test-race test-differential serve-smoke cluster-smoke rpc-smoke restart-smoke compact-smoke bench-cluster bench-lia bench-warm bench-rpc bench-compact bench bench-json bench-compare bench-quick profile check clean
+.PHONY: all build vet test test-short test-race test-differential serve-smoke cluster-smoke rpc-smoke restart-smoke compact-smoke fuzz-rpc bench-cluster bench-lia bench-warm bench-rpc bench-compact bench bench-json bench-compare bench-quick profile check clean
 
 all: check
 
@@ -77,11 +77,12 @@ serve-smoke:
 cluster-smoke:
 	$(GO) test -run TestClusterSmoke -count=1 -v ./cmd/vs3router/
 
-# End-to-end check of the binary VS3R transport: real daemons over TCP —
-# single verifies through the router's rpc front, batch fan-out over rpc
-# backends, HTTP fallback for a backend that does not advertise rpc,
-# mid-flight cancellation reaching the backend, hedging with counters on
-# /metrics, and the vs3load -proto rpc harness path.
+# End-to-end check of the binary VS3R transport, the only router-to-backend
+# wire: real daemons over TCP — single verifies through the router's rpc
+# front, batch fan-out over rpc backends, a backend that does not advertise
+# rpc reported not live and sent no traffic, mid-flight cancellation reaching
+# the backend, hedging with counters on /metrics, and the vs3load -proto rpc
+# harness path.
 rpc-smoke:
 	$(GO) test -run 'TestRPCSmoke|TestLoadProtoRPC' -count=1 -v ./cmd/vs3router/
 
@@ -101,10 +102,19 @@ restart-smoke:
 compact-smoke:
 	$(GO) test -run TestCompactSmoke -count=1 -v ./cmd/vs3router/
 
-# Head-to-head routing benchmark (the tentpole proof for PR 6): single node
-# vs affinity routing vs random routing over 2 backends on the default
-# corpus, asserting affinity wins on from-scratch SMT queries and warm
-# cache-hit ratio. Writes BENCH_6.json.
+# Short fuzz budget for the VS3R decoders (frame, request, response): no
+# input may panic, and whatever decodes must round-trip through the encoder.
+# The seed corpus is committed under internal/rpc/testdata/fuzz/. go test
+# fuzzes one target per invocation.
+fuzz-rpc:
+	$(GO) test -run '^$$' -fuzz '^FuzzReadFrame$$' -fuzztime=10s ./internal/rpc/
+	$(GO) test -run '^$$' -fuzz '^FuzzDecodeRequest$$' -fuzztime=10s ./internal/rpc/
+	$(GO) test -run '^$$' -fuzz '^FuzzDecodeResponse$$' -fuzztime=10s ./internal/rpc/
+
+# Routing benchmark (first run for PR 6): a single node and 2 backends
+# behind affinity routing on the default corpus, asserting correct verdicts
+# on both arms. Writes BENCH_6.json; the committed copy also records the
+# retired random-routing control arm.
 bench-cluster:
 	VS3_BENCH_OUT=$(CURDIR)/BENCH_6.json $(GO) test -run TestClusterBench -count=1 -v ./cmd/vs3router/
 
@@ -125,15 +135,12 @@ bench-lia:
 bench-warm:
 	VS3_BENCH_BASE=$(CURDIR)/BENCH_8.json VS3_BENCH_OUT=$(CURDIR)/BENCH_8.json $(GO) test -run TestWarmBench -count=1 -v ./internal/bench/
 
-# Binary transport benchmark (the tentpole proof for PR 9): the same
-# store-backed 2-backend fleet driven over HTTP/JSON and over binary VS3R
-# (persistent multiplexed connections), measured on the outcome-replay path
-# so the wire dominates each request; plus hedged vs unhedged routing over
-# a fleet with one stalled backend. Asserts rpc wins p95 and throughput,
-# hedging wins p99, and verdicts stay identical across the full corpus on
-# both wires. Gates are wall-clock comparisons, so the test skips under
-# plain `go test ./...` and only runs here. Writes BENCH_9.json
-# (`benchtab -table 9` renders the committed report).
+# Hedging benchmark (first run for PR 9): hedged vs unhedged routing over a
+# store-backed 2-backend fleet with one stalled backend, asserting hedging
+# wins p99 with identical verdicts across the corpus. The gate is a
+# wall-clock comparison, so the test skips under plain `go test ./...` and
+# only runs here. Writes BENCH_9.json (`benchtab -table 9` renders it); the
+# committed copy also records the retired HTTP-vs-VS3R transport arms.
 bench-rpc:
 	VS3_BENCH_OUT=$(CURDIR)/BENCH_9.json $(GO) test -run TestRPCBench -count=1 -v ./cmd/vs3router/
 

@@ -20,7 +20,7 @@ import (
 )
 
 // startStoreBackend boots a real engine backend attached to an on-disk
-// knowledge store in dir. stop closes the HTTP surface first, then the store
+// knowledge store in dir. stop closes both surfaces first, then the store
 // (flushing the write-behind queue, as a drained daemon would); call it
 // exactly once.
 func startStoreBackend(t *testing.T, id, dir string) (ts *httptest.Server, stop func()) {
@@ -29,15 +29,14 @@ func startStoreBackend(t *testing.T, id, dir string) (ts *httptest.Server, stop 
 	if err != nil {
 		t.Fatalf("store.Open(%s): %v", dir, err)
 	}
-	ts = httptest.NewServer(serve.New(serve.Config{ID: id, Pool: 2, Store: st}).Handler())
+	b := startRPCBackend(t, serve.Config{ID: id, Store: st}, nil)
 	stop = func() {
-		ts.CloseClientConnections()
-		ts.Close()
+		b.close()
 		if err := st.Close(); err != nil {
 			t.Errorf("store.Close(%s): %v", dir, err)
 		}
 	}
-	return ts, stop
+	return b.hts, stop
 }
 
 // duplicateStoreLog rewrites dir's knowledge log as header + body×copies —
@@ -83,6 +82,7 @@ func copyStoreLog(t *testing.T, src string) string {
 // backendProbe is the slice of a vs3d /v1/stats body the compaction tests
 // read.
 type backendProbe struct {
+	Requests       int64 `json:"requests"`
 	Queries        int64 `json:"smt_queries"`
 	Probes         int64 `json:"assumption_probes"`
 	FMScratch      int64 `json:"fm_scratch"`
@@ -191,7 +191,7 @@ func TestCompactSmoke(t *testing.T) {
 
 	// A storeless backend refuses the endpoint.
 	plain := startBackend(t, "no-store")
-	resp, err = http.Post(plain.URL+"/v1/compact", "application/json", nil)
+	resp, err = http.Post(plain.hts.URL+"/v1/compact", "application/json", nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -369,6 +369,7 @@ func TestCompactBench(t *testing.T) {
 	warmBase, _, stopWarm := startRouter(t, route.Config{
 		Backends: []string{b1.URL, b2.URL}, Weights: warmWeights, Policy: route.Affinity,
 	})
+	waitProto(t, warmBase, map[string]string{b1.URL: "rpc", b2.URL: "rpc"})
 	benchArm(t, warmBase, 2*len(corpus))
 	stopWarm()
 	stopB1()
@@ -387,6 +388,7 @@ func TestCompactBench(t *testing.T) {
 			HealthInterval: 50 * time.Millisecond,
 		})
 		defer stopR()
+		waitProto(t, base, map[string]string{c1.URL: "rpc", c2.URL: "rpc"})
 		if storeAware {
 			deadline := time.Now().Add(10 * time.Second)
 			for {

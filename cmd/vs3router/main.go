@@ -3,17 +3,19 @@
 // backend's interner, incremental smt.Context lanes, and unsat-core store
 // stay hot for its slice of the keyspace (see internal/route and DESIGN.md
 // §13). It health-checks the fleet, fails requests over to the next live
-// node in ring order, splits /v1/batch requests by backend affinity, and
-// reuses backend connections. Backends that advertise the binary VS3R
-// protocol (X-VS3-RPC) are spoken to over persistent multiplexed rpc
-// connections; the rest stay on HTTP (see DESIGN.md §16).
+// node in ring order, and splits /v1/batch requests by backend affinity.
+// Every request and batch item reaches its backend over the binary VS3R
+// protocol, on persistent multiplexed connections to the endpoint the
+// backend advertises (X-VS3-RPC); a backend that advertises none is not
+// live. The backend URLs carry only the control plane: /healthz sweeps and
+// the /v1/stats fan-out (see DESIGN.md §16).
 //
 // Usage:
 //
 //	vs3router -backend http://10.0.0.1:8080=2 -backend http://10.0.0.2:8080 \
-//	          [-addr :8079] [-rpc :8078] [-policy affinity|random] [-replicas 128] \
+//	          [-addr :8079] [-rpc :8078] [-replicas 128] \
 //	          [-health-interval 2s] [-hedge] [-hedge-min 10ms] [-hedge-max 1s] \
-//	          [-store-aware=true] [-no-rpc] [-id NAME]
+//	          [-store-aware=true] [-id NAME]
 //
 // Each -backend flag names one vs3d base URL with an optional =WEIGHT ring
 // share multiplier (default 1; a weight-2 backend owns about twice the
@@ -25,8 +27,7 @@
 // overhead. -hedge enables request hedging: when the key's owner has not
 // answered within an adaptive delay (rolling p95 of backend latency, clamped
 // to [-hedge-min, -hedge-max]), the request is also fired at the ring
-// successor and the loser is cancelled. -no-rpc keeps every backend on HTTP
-// even if it advertises rpc (the benchmark control arm).
+// successor and the loser is cancelled.
 //
 // -store-aware (default true) enables store-aware placement: the health
 // sweep keeps a bloom digest of each backend's solved problem keys, and a
@@ -43,9 +44,6 @@
 //	GET  /v1/stats          router counters + per-backend rows + fleet totals
 //	GET  /metrics           Prometheus text format
 //	GET  /healthz           200 while at least one backend is live
-//
-// -policy random exists as the control arm for benchmarks: same fleet, no
-// affinity. Production use is affinity.
 package main
 
 import (
@@ -69,7 +67,7 @@ import (
 
 func main() {
 	addr := flag.String("addr", ":8079", "listen address")
-	rpcAddr := flag.String("rpc", "", "binary rpc listen address (empty = HTTP only)")
+	rpcAddr := flag.String("rpc", "", "binary rpc front listen address (empty = HTTP front only)")
 	backends := flag.String("backends", "", "comma-separated vs3d base URLs")
 	var urls []string
 	var weights []float64
@@ -82,14 +80,12 @@ func main() {
 		weights = append(weights, w)
 		return nil
 	})
-	policy := flag.String("policy", "affinity", "routing policy: affinity or random")
 	replicas := flag.Int("replicas", 128, "virtual nodes per weight-1 backend on the hash ring")
 	healthInterval := flag.Duration("health-interval", 2*time.Second, "period between backend health sweeps")
 	hedge := flag.Bool("hedge", false, "hedge slow requests at the ring successor")
 	hedgeMin := flag.Duration("hedge-min", 10*time.Millisecond, "floor on the adaptive hedge delay")
 	hedgeMax := flag.Duration("hedge-max", time.Second, "cap on the adaptive hedge delay")
 	storeAware := flag.Bool("store-aware", true, "prefer backends whose knowledge-store digest claims a request's problem key")
-	noRPC := flag.Bool("no-rpc", false, "keep all backends on HTTP even when they advertise binary rpc")
 	id := flag.String("id", "vs3router", "router identity reported in stats and metrics")
 	flag.DurationVar(&rpcFrameTimeout, "rpc-write-timeout", rpcFrameTimeout, "per-frame rpc write deadline; a stalled peer's connection is torn down on expiry (negative = none)")
 	flag.Parse()
@@ -104,13 +100,11 @@ func main() {
 		Backends:       urls,
 		Weights:        weights,
 		Replicas:       *replicas,
-		Policy:         route.Policy(*policy),
 		HealthInterval: *healthInterval,
 		Hedge:          *hedge,
 		HedgeMin:       *hedgeMin,
 		HedgeMax:       *hedgeMax,
 		StoreAware:     *storeAware,
-		DisableRPC:     *noRPC,
 		ID:             *id,
 	}
 	ln, err := net.Listen("tcp", *addr)
@@ -179,11 +173,11 @@ func run(ctx context.Context, ln, rpcLn net.Listener, cfg route.Config, logger *
 	errc := make(chan error, 1)
 	go func() { errc <- srv.Serve(ln) }()
 	if rpcLn != nil {
-		logger.Printf("vs3router: serving on %s (binary rpc on %s), %s routing over %d backends",
-			ln.Addr(), rpcLn.Addr(), cfg.Policy, len(cfg.Backends))
+		logger.Printf("vs3router: serving on %s (binary rpc on %s), routing over %d backends",
+			ln.Addr(), rpcLn.Addr(), len(cfg.Backends))
 	} else {
-		logger.Printf("vs3router: serving on %s, %s routing over %d backends",
-			ln.Addr(), cfg.Policy, len(cfg.Backends))
+		logger.Printf("vs3router: serving on %s, routing over %d backends",
+			ln.Addr(), len(cfg.Backends))
 	}
 	select {
 	case err := <-errc:

@@ -5,7 +5,6 @@ import (
 	"bytes"
 	"context"
 	"encoding/json"
-	"net"
 	"net/http"
 	"net/http/httptest"
 	"strings"
@@ -18,39 +17,6 @@ import (
 	"repro/internal/rpc"
 	"repro/internal/serve"
 )
-
-// rpcBackend is one real engine backend serving both its HTTP surface and
-// an advertised binary rpc listener — what `vs3d -rpc :0` boots, assembled
-// in-process so the test can wrap the rpc handler and read its gauges.
-type rpcBackend struct {
-	srv  *serve.Server
-	hts  *httptest.Server
-	rsrv *rpc.Server
-}
-
-func startRPCBackend(t *testing.T, cfg serve.Config, wrap func(rpc.Handler) rpc.Handler) *rpcBackend {
-	t.Helper()
-	if cfg.Pool == 0 {
-		cfg.Pool = 2
-	}
-	srv := serve.New(cfg)
-	hts := httptest.NewServer(srv.Handler())
-	t.Cleanup(hts.Close)
-	var h rpc.Handler = srv
-	if wrap != nil {
-		h = wrap(h)
-	}
-	ln, err := net.Listen("tcp", "127.0.0.1:0")
-	if err != nil {
-		t.Fatal(err)
-	}
-	rsrv := rpc.NewServer(h, rpc.ServerConfig{})
-	go func() { _ = rsrv.Serve(ln) }()
-	t.Cleanup(func() { ln.Close(); rsrv.Close() })
-	srv.AdvertiseRPC(ln.Addr().String())
-	srv.SetRPCStats(rsrv.Stats)
-	return &rpcBackend{srv: srv, hts: hts, rsrv: rsrv}
-}
 
 // delayRPC stalls every rpc dispatch, emulating a deeply queued backend. A
 // cancel during the stall is counted and answered 499 without touching the
@@ -78,8 +44,9 @@ type routerStats struct {
 	HedgeWon   int64 `json:"hedge_won"`
 	RPCConns   int64 `json:"rpc_conns"`
 	Backends   []struct {
-		URL   string `json:"url"`
-		Proto string `json:"proto"`
+		URL     string `json:"url"`
+		Proto   string `json:"proto"`
+		Healthy bool   `json:"healthy"`
 	} `json:"backends"`
 }
 
@@ -97,8 +64,9 @@ func fetchRouterStats(t *testing.T, base string) routerStats {
 	return st
 }
 
-// waitProto blocks until the router reports the wanted transport for every
-// listed backend (the health sweep has to discover X-VS3-RPC first).
+// waitProto blocks until the router reports the wanted proto ("rpc" or
+// "none") for every listed backend (the health sweep has to discover
+// X-VS3-RPC first).
 func waitProto(t *testing.T, base string, want map[string]string) {
 	t.Helper()
 	deadline := time.Now().Add(5 * time.Second)
@@ -137,19 +105,21 @@ func callVerify(t *testing.T, c *rpc.Client, spec, method string) (rpc.Response,
 
 // TestRPCSmoke is `make rpc-smoke`: the binary transport end to end over
 // real TCP daemons — single verifies through the router's rpc front, batch
-// fan-out over rpc backends, HTTP fallback for a backend that does not
-// advertise rpc, mid-flight cancellation reaching the backend, and hedging
-// with counters on /metrics.
+// fan-out over rpc backends, a backend that does not advertise rpc reported
+// not live and sent no traffic, mid-flight cancellation reaching the
+// backend, and hedging with counters on /metrics.
 func TestRPCSmoke(t *testing.T) {
 	corpus := load.SmokeCorpus()
 
 	// --- Fleet 1: two rpc backends + one HTTP-only backend. ---
 	b1 := startRPCBackend(t, serve.Config{ID: "rpc-1"}, nil)
 	b2 := startRPCBackend(t, serve.Config{ID: "rpc-2"}, nil)
-	b3 := startBackend(t, "http-only")
-	base, rpcBase, stop := startRouter(t, route.Config{Backends: []string{b1.hts.URL, b2.hts.URL, b3.URL}})
+	b3 := httptest.NewServer(serve.New(serve.Config{ID: "http-only", Pool: 2}).Handler())
+	t.Cleanup(b3.Close)
+	urls := []string{b1.hts.URL, b2.hts.URL, b3.URL}
+	base, rpcBase, stop := startRouter(t, route.Config{Backends: urls})
 	defer stop()
-	waitProto(t, base, map[string]string{b1.hts.URL: "rpc", b2.hts.URL: "rpc", b3.URL: "http"})
+	waitProto(t, base, map[string]string{b1.hts.URL: "rpc", b2.hts.URL: "rpc", b3.URL: "none"})
 
 	c := rpc.NewClient(rpcBase, rpc.ClientConfig{})
 	defer c.Close()
@@ -169,27 +139,33 @@ func TestRPCSmoke(t *testing.T) {
 		}
 	}
 
-	// HTTP fallback: a spec owned by the HTTP-only backend must still verify
-	// through the binary front (router rpc in, HTTP out). Trailing newlines
-	// vary the problem key until one lands on it.
-	spec, served := corpus[0].Spec, false
-	for i := 0; i < 10_000; i++ {
-		resp, vr := callVerify(t, c, spec, "lfp")
-		if resp.Status != http.StatusOK || !vr.Proved {
-			t.Fatalf("fallback probe: status=%d proved=%v", resp.Status, vr.Proved)
-		}
-		if resp.Backend == "http-only" {
-			served = true
-			break
-		}
-		spec = corpus[0].Spec + strings.Repeat("\n", i+1)
+	// The HTTP-only backend is not live: specs its ring slice owns verify on
+	// the rpc backends, and it is sent nothing. A probe router over the same
+	// ring (placement depends only on backend order and weights) picks the
+	// spec variants — trailing newlines vary the problem key — it owns.
+	probe, err := route.New(route.Config{Backends: urls, HealthInterval: time.Hour})
+	if err != nil {
+		t.Fatal(err)
 	}
-	if !served {
-		t.Fatal("no spec variant routed to the HTTP-only backend")
+	defer probe.Close()
+	owned := 0
+	for i := 0; owned < 3; i++ {
+		if i > 10_000 {
+			t.Fatal("no spec variant owned by the HTTP-only backend")
+		}
+		spec := corpus[0].Spec + strings.Repeat("\n", i)
+		if probe.Owner(serve.ProblemKey(spec)) != b3.URL {
+			continue
+		}
+		owned++
+		resp, vr := callVerify(t, c, spec, "lfp")
+		if resp.Status != http.StatusOK || !vr.Proved || (resp.Backend != "rpc-1" && resp.Backend != "rpc-2") {
+			t.Fatalf("spec owned by the HTTP-only backend: status=%d proved=%v backend=%q", resp.Status, vr.Proved, resp.Backend)
+		}
 	}
 
-	// Batch through the router's HTTP front: the rpc backends take the
-	// multiplexed per-item path, the HTTP-only backend the NDJSON path.
+	// Batch through the router's HTTP front: every item takes the
+	// multiplexed per-item path over the rpc backends.
 	var items []serve.VerifyRequest
 	for _, it := range corpus {
 		items = append(items, serve.VerifyRequest{Spec: it.Spec, Method: it.Method})
@@ -219,6 +195,14 @@ func TestRPCSmoke(t *testing.T) {
 	}
 	if st := fetchRouterStats(t, base); st.RPCConns == 0 {
 		t.Error("router reports zero open rpc connections after rpc traffic")
+	}
+	for _, row := range fetchRouterStats(t, base).Backends {
+		if row.URL == b3.URL && row.Healthy {
+			t.Error("router reports the HTTP-only backend live")
+		}
+	}
+	if n := probeStats(t, b3.URL).Requests; n != 0 {
+		t.Errorf("HTTP-only backend served %d requests, want none", n)
 	}
 
 	// --- Fleet 2: cancellation. A client abandoning its stream must reach
@@ -274,7 +258,7 @@ func TestRPCSmoke(t *testing.T) {
 	waitProto(t, hbase, map[string]string{bSlow2.hts.URL: "rpc", bFast.hts.URL: "rpc"})
 
 	hedged := false
-	spec = corpus[1].Spec
+	spec := corpus[1].Spec
 	for i := 0; i < 50 && !hedged; i++ {
 		vb, _ := json.Marshal(serve.VerifyRequest{Spec: spec, Method: "lfp", TimeoutMS: 30_000})
 		hresp, err := http.Post(hbase+"/v1/verify", "application/json", bytes.NewReader(vb))

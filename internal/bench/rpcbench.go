@@ -9,11 +9,12 @@ import (
 	"repro/internal/load"
 )
 
-// Bench9Report is the BENCH_9.json schema: the binary VS3R transport
-// head-to-head against HTTP/JSON over the same warmed fleet, plus a
-// degraded-fleet comparison of hedged vs unhedged routing. Produced by
-// TestRPCBench in cmd/vs3router (`make bench-rpc`); rendered by
-// `benchtab -table 9` from the committed file.
+// Bench9Report is the BENCH_9.json schema: a degraded-fleet comparison of
+// hedged vs unhedged routing, and — in reports from before the router's
+// HTTP backend leg was removed — the binary VS3R transport head-to-head
+// against HTTP/JSON over the same warmed fleet. Produced by TestRPCBench in
+// cmd/vs3router (`make bench-rpc`); rendered by `benchtab -table 9` from
+// the committed file.
 type Bench9Report struct {
 	Report   string                 `json:"report"`
 	Purpose  string                 `json:"purpose"`
@@ -63,7 +64,7 @@ func ReadBench9(path string) (Bench9Report, error) {
 
 // WriteBench9Table renders the transport and hedging comparison.
 func WriteBench9Table(w io.Writer, rep Bench9Report) {
-	fmt.Fprintf(w, "Table 9: binary rpc transport vs HTTP/JSON (%s, GOMAXPROCS=%d)\n", rep.Host, rep.GoMaxP)
+	fmt.Fprintf(w, "Table 9: VS3R transport and hedged routing (%s, GOMAXPROCS=%d)\n", rep.Host, rep.GoMaxP)
 	fmt.Fprintf(w, "%d corpus items (%d distinct problems), %d requests per arm\n\n", rep.Corpus, rep.Distinct, rep.Requests)
 	fmt.Fprintf(w, "%-16s %8s %8s %8s %10s %6s %6s\n", "arm", "p50 ms", "p95 ms", "p99 ms", "req/s", "ok", "bad")
 	for _, name := range []string{"http", "rpc", "slow_unhedged", "slow_hedged"} {
@@ -76,8 +77,11 @@ func WriteBench9Table(w io.Writer, rep Bench9Report) {
 			arm.OK, arm.Incorrect+arm.Errors)
 	}
 	f := rep.Findings
-	fmt.Fprintf(w, "\ntransport: rpc p95 %.2fms vs http %.2fms (%.2fx), throughput %.1f vs %.1f req/s (%.2fx)\n",
-		f.RPCP95MS, f.HTTPP95MS, f.P95SpeedupX, f.RPCThroughput, f.HTTPThroughput, f.ThroughputGainX)
+	fmt.Fprintln(w)
+	if _, ok := rep.Arms["http"]; ok { // retired arms: only reports from before the HTTP backend leg was removed
+		fmt.Fprintf(w, "transport: rpc p95 %.2fms vs http %.2fms (%.2fx), throughput %.1f vs %.1f req/s (%.2fx)\n",
+			f.RPCP95MS, f.HTTPP95MS, f.P95SpeedupX, f.RPCThroughput, f.HTTPThroughput, f.ThroughputGainX)
+	}
 	fmt.Fprintf(w, "hedging:   degraded-fleet p99 %.1fms hedged vs %.1fms unhedged (%.1fx), %d fired / %d won\n",
 		f.HedgedP99MS, f.UnhedgedP99MS, f.P99ReductionX, f.HedgeFired, f.HedgeWon)
 	fmt.Fprintf(w, "verdicts identical across arms: %v\n", f.VerdictsIdentical)

@@ -1,8 +1,6 @@
 package route
 
 import (
-	"bufio"
-	"bytes"
 	"context"
 	"encoding/json"
 	"errors"
@@ -14,18 +12,18 @@ import (
 	"repro/internal/serve"
 )
 
-// handleBatch splits one client batch by backend affinity, fans the
-// sub-batches out concurrently, and merges the per-item NDJSON result
-// streams back into one stream with the client's original item indices.
-// Splitting by affinity is the point: every item still lands on the backend
-// that is warm for its skeleton, so a bulk client pays one HTTP round trip
-// while keeping the per-key cache economics of single routed requests.
+// handleBatch splits one client batch by backend affinity, fans each group
+// out over its backend's VS3R pool, and merges the per-item results into one
+// NDJSON stream with the client's original item indices. Splitting by
+// affinity is the point: every item still lands on the backend that is warm
+// for its skeleton, so a bulk client pays one HTTP round trip while keeping
+// the per-key cache economics of single routed requests.
 //
-// Failover is per item, mid-stream: when a backend dies partway through its
-// sub-batch (connection refused, stream cut), the items it never answered
-// are re-grouped over the remaining live backends and re-sent; only items
-// no live backend can serve come back as 502 results. Items that already
-// produced a result are never re-run.
+// Failover is per item: when a backend dies partway through its group
+// (connection refused or cut), the items it never answered are re-grouped
+// over the remaining live backends and re-sent; only items no live backend
+// can serve come back as 502 results. Items that already produced a result
+// are never re-run.
 func (r *Router) handleBatch(w http.ResponseWriter, req *http.Request) {
 	if req.Method != http.MethodPost {
 		w.Header().Set("Allow", http.MethodPost)
@@ -79,8 +77,8 @@ func (r *Router) handleBatch(w http.ResponseWriter, req *http.Request) {
 	}
 
 	// send groups the given (global) item indices by their current best
-	// backend and streams each group; unanswered items recurse with the
-	// next attempt.
+	// backend and sends each group; unanswered items recurse with the next
+	// attempt.
 	send = func(indices []int, attempt int) {
 		if attempt >= maxAttempts {
 			fail(indices, errors.New("failover attempts exhausted"))
@@ -99,7 +97,7 @@ func (r *Router) handleBatch(w http.ResponseWriter, req *http.Request) {
 			wg.Add(1)
 			go func(bidx int, group []int) {
 				defer wg.Done()
-				remaining, err := r.streamGroup(ctx, r.backends[bidx], client, &batch, group, emit)
+				remaining := r.rpcGroup(ctx, r.backends[bidx], client, &batch, group, emit)
 				if len(remaining) == 0 {
 					return
 				}
@@ -109,7 +107,6 @@ func (r *Router) handleBatch(w http.ResponseWriter, req *http.Request) {
 					fail(remaining, ctx.Err())
 					return
 				}
-				_ = err
 				send(remaining, attempt+1)
 			}(bidx, group)
 		}
@@ -123,100 +120,20 @@ func (r *Router) handleBatch(w http.ResponseWriter, req *http.Request) {
 	wg.Wait()
 }
 
-// streamGroup sends one sub-batch to b and re-emits its results with global
-// indices. It returns the global indices that never produced a result (the
-// failover set) and the transport error that cut the stream, if any. A
-// backend that answers fewer lines than items without a transport error is
-// also treated as a cut stream.
-func (r *Router) streamGroup(ctx context.Context, b *backend, client string, batch *serve.BatchRequest, group []int, emit func(serve.BatchResult)) (remaining []int, err error) {
-	if c := b.rpcClient(); c != nil {
-		return r.rpcGroup(ctx, b, c, client, batch, group, emit)
-	}
-	sub := serve.BatchRequest{Items: make([]serve.VerifyRequest, len(group))}
-	for li, gi := range group {
-		sub.Items[li] = batch.Items[gi]
-	}
-	body, err := json.Marshal(sub)
-	if err != nil {
-		return group, err
-	}
-	done := make([]bool, len(group))
-	pending := func() []int {
-		var out []int
-		for li, d := range done {
-			if !d {
-				out = append(out, group[li])
-			}
-		}
-		return out
-	}
-
-	resp, err := r.forward(ctx, b, "/v1/batch", client, body)
-	if err != nil {
-		b.healthy.Store(false)
-		return group, err
-	}
-	defer resp.Body.Close()
-	if resp.StatusCode != http.StatusOK {
-		// The backend rejected the whole sub-batch (e.g. over its item
-		// cap); surface its error on every item rather than failing over —
-		// another backend would reject it the same way.
-		var eresp errorResponse
-		_ = json.NewDecoder(resp.Body).Decode(&eresp)
-		for _, gi := range group {
-			emit(serve.BatchResult{Index: gi, Status: resp.StatusCode, Error: eresp.Error})
-		}
-		return nil, nil
-	}
-
-	sc := bufio.NewScanner(resp.Body)
-	sc.Buffer(make([]byte, 0, 1<<20), 16<<20)
-	for sc.Scan() {
-		line := bytes.TrimSpace(sc.Bytes())
-		if len(line) == 0 {
-			continue
-		}
-		var res serve.BatchResult
-		if err := json.Unmarshal(line, &res); err != nil {
-			b.healthy.Store(false)
-			return pending(), fmt.Errorf("corrupt batch stream from %s: %w", b.url, err)
-		}
-		if res.Index < 0 || res.Index >= len(group) || done[res.Index] {
-			continue // defensive: never emit a duplicate or out-of-range index
-		}
-		done[res.Index] = true
-		b.routed.Add(1)
-		res.Index = group[res.Index]
-		emit(res)
-	}
-	if err := sc.Err(); err != nil {
-		b.healthy.Store(false)
-		return pending(), err
-	}
-	if rem := pending(); len(rem) > 0 {
-		// EOF before every item answered: the backend shut down mid-batch.
-		b.healthy.Store(false)
-		return rem, fmt.Errorf("batch stream from %s ended after %d of %d items", b.url, len(group)-len(rem), len(group))
-	}
-	return nil, nil
-}
-
 // rpcGroup sends one affinity group's items as individual streams over the
-// backend's persistent multiplexed rpc connection — the binary replacement
-// for the NDJSON sub-batch, with the same per-item independence. Items that
-// fail at the transport level come back as the failover set; a refused
-// handshake pins the backend to HTTP and resends everything (the next
-// attempt takes the NDJSON path).
-func (r *Router) rpcGroup(ctx context.Context, b *backend, c *rpc.Client, client string, batch *serve.BatchRequest, group []int, emit func(serve.BatchResult)) ([]int, error) {
-	workers := 16
-	if workers > len(group) {
-		workers = len(group)
+// backend's persistent multiplexed rpc connection. It returns the global
+// indices that failed at the transport level (the failover set) and marks
+// the backend down when any did.
+func (r *Router) rpcGroup(ctx context.Context, b *backend, client string, batch *serve.BatchRequest, group []int, emit func(serve.BatchResult)) []int {
+	c := b.rpcClient()
+	if c == nil {
+		b.healthy.Store(false)
+		return group
 	}
+	workers := min(16, len(group))
 	var (
 		mu      sync.Mutex
 		pending []int
-		lastErr error
-		dropped bool
 	)
 	indices := make(chan int)
 	var wg sync.WaitGroup
@@ -236,10 +153,6 @@ func (r *Router) rpcGroup(ctx context.Context, b *backend, c *rpc.Client, client
 				if err != nil {
 					mu.Lock()
 					pending = append(pending, gi)
-					lastErr = err
-					if errors.Is(err, rpc.ErrNotRPC) {
-						dropped = true
-					}
 					mu.Unlock()
 					continue
 				}
@@ -253,14 +166,10 @@ func (r *Router) rpcGroup(ctx context.Context, b *backend, c *rpc.Client, client
 	}
 	close(indices)
 	wg.Wait()
-	if dropped {
-		b.dropRPC()
-		return pending, lastErr
-	}
 	if len(pending) > 0 && ctx.Err() == nil {
 		b.healthy.Store(false)
 	}
-	return pending, lastErr
+	return pending
 }
 
 // rpcBatchResult maps one rpc response onto the NDJSON per-item result

@@ -3,7 +3,6 @@ package route
 import (
 	"context"
 	"errors"
-	"io"
 	"net/http"
 	"sort"
 	"time"
@@ -12,10 +11,9 @@ import (
 )
 
 // callResult is one backend's buffered answer to a single verify or
-// preconditions request, transport-agnostic: the same fields come back
-// whether the call crossed binary rpc or HTTP. err is non-nil only for
-// transport failures (the failover/hedge-loss signal); an HTTP-level answer
-// (429 shed, 5xx) is a result, not an error.
+// preconditions request. err is non-nil only for transport failures (the
+// failover/hedge-loss signal); an answer with any status (429 shed, 5xx) is
+// a result, not an error.
 type callResult struct {
 	status     int
 	problemKey string
@@ -25,53 +23,34 @@ type callResult struct {
 	err        error
 }
 
-// callOne executes req against b, preferring the backend's persistent binary
-// rpc pool and falling back to HTTP. A refused VS3R handshake pins the
-// backend to HTTP permanently (it is an older build, not a dead node); any
-// other rpc error is a transport failure, the same failover signal an HTTP
-// connection cut produces.
-func (r *Router) callOne(ctx context.Context, b *backend, path, client string, body []byte, req rpc.Request) callResult {
+// errNoRPC is the transport failure of a backend whose VS3R endpoint the
+// health sweep has not discovered (yet): it fails over like a dead node.
+var errNoRPC = errors.New("route: backend has no VS3R endpoint")
+
+// callOne executes req against b over the backend's persistent VS3R pool.
+// Every error — a dead connection, a refused handshake (rpc.ErrNotRPC), an
+// undiscovered endpoint — is a transport failure, the failover signal.
+func (r *Router) callOne(ctx context.Context, b *backend, req rpc.Request) callResult {
+	c := b.rpcClient()
+	if c == nil {
+		return callResult{err: errNoRPC}
+	}
 	start := time.Now()
-	if c := b.rpcClient(); c != nil {
-		req.Client = client
-		resp, err := c.Call(ctx, req)
-		switch {
-		case err == nil:
-			r.observeLatency(time.Since(start))
-			if resp.Backend != "" {
-				id := resp.Backend
-				b.serverID.Store(&id)
-			}
-			return callResult{
-				status:     resp.Status,
-				problemKey: resp.ProblemKey,
-				backendID:  resp.Backend,
-				retryAfter: retryAfterHint(resp.Status),
-				body:       resp.Body,
-			}
-		case errors.Is(err, rpc.ErrNotRPC):
-			b.dropRPC()
-			// Fall through to HTTP below: the backend is alive, just binary-blind.
-		default:
-			return callResult{err: err}
-		}
-	}
-	resp, err := r.forward(ctx, b, path, client, body)
-	if err != nil {
-		return callResult{err: err}
-	}
-	defer resp.Body.Close()
-	buf, err := io.ReadAll(io.LimitReader(resp.Body, maxProxyBody))
+	resp, err := c.Call(ctx, req)
 	if err != nil {
 		return callResult{err: err}
 	}
 	r.observeLatency(time.Since(start))
+	if resp.Backend != "" {
+		id := resp.Backend
+		b.serverID.Store(&id)
+	}
 	return callResult{
-		status:     resp.StatusCode,
-		problemKey: resp.Header.Get("X-VS3-Problem-Key"),
-		backendID:  resp.Header.Get("X-VS3-Backend"),
-		retryAfter: resp.Header.Get("Retry-After"),
-		body:       buf,
+		status:     resp.Status,
+		problemKey: resp.ProblemKey,
+		backendID:  resp.Backend,
+		retryAfter: retryAfterHint(resp.Status),
+		body:       resp.Body,
 	}
 }
 
@@ -120,20 +99,20 @@ func (r *Router) hedgeDelay() time.Duration {
 	return p95
 }
 
-// execute routes one request over the candidate sequence for its key. Under
-// Affinity with hedging enabled the first two candidates race (owner first,
-// successor after the adaptive delay); any remaining candidates serve as the
+// execute routes one request over the candidate sequence for its key. With
+// hedging enabled the first two candidates race (owner first, successor
+// after the adaptive delay); any remaining candidates serve as the
 // sequential failover tail, exactly as without hedging. The returned result
 // is terminal: a transport-level total failure comes back as err != nil.
-func (r *Router) execute(ctx context.Context, key, client, path string, body []byte, req rpc.Request) callResult {
+func (r *Router) execute(ctx context.Context, key string, req rpc.Request) callResult {
 	cands := r.candidates(key)
 	if len(cands) == 0 {
 		return callResult{err: errors.New("no backends configured")}
 	}
 	rest := cands
 	var lastErr error
-	if r.cfg.Hedge && r.cfg.Policy == Affinity && len(cands) >= 2 {
-		res, done := r.raceTwo(ctx, r.backends[cands[0]], r.backends[cands[1]], path, client, body, req)
+	if r.cfg.Hedge && len(cands) >= 2 {
+		res, done := r.raceTwo(ctx, r.backends[cands[0]], r.backends[cands[1]], req)
 		if done {
 			return res
 		}
@@ -142,7 +121,7 @@ func (r *Router) execute(ctx context.Context, key, client, path string, body []b
 	}
 	for _, idx := range rest {
 		b := r.backends[idx]
-		res := r.callOne(ctx, b, path, client, body, req)
+		res := r.callOne(ctx, b, req)
 		if res.err == nil {
 			b.routed.Add(1)
 			return res
@@ -166,7 +145,7 @@ func (r *Router) execute(ctx context.Context, key, client, path string, body []b
 // the backend treats as a client disconnect — its run aborts and its verdict
 // is discarded unseen). Returns done=false only when both sides failed at
 // the transport level, handing the key to the sequential failover tail.
-func (r *Router) raceTwo(ctx context.Context, owner, succ *backend, path, client string, body []byte, req rpc.Request) (callResult, bool) {
+func (r *Router) raceTwo(ctx context.Context, owner, succ *backend, req rpc.Request) (callResult, bool) {
 	type raceRes struct {
 		res   callResult
 		b     *backend
@@ -177,7 +156,7 @@ func (r *Router) raceTwo(ctx context.Context, owner, succ *backend, path, client
 	resc := make(chan raceRes, 2)
 	launch := func(b *backend, hedge bool) {
 		go func() {
-			resc <- raceRes{res: r.callOne(rctx, b, path, client, body, req), b: b, hedge: hedge}
+			resc <- raceRes{res: r.callOne(rctx, b, req), b: b, hedge: hedge}
 		}()
 	}
 	launch(owner, false)
@@ -205,7 +184,7 @@ func (r *Router) raceTwo(ctx context.Context, owner, succ *backend, path, client
 	if !fired {
 		// The owner failed before the hedge delay elapsed; no race happened.
 		// The successor is simply the next sequential candidate.
-		res := r.callOne(rctx, succ, path, client, body, req)
+		res := r.callOne(rctx, succ, req)
 		if res.err == nil {
 			succ.routed.Add(1)
 			return res, true

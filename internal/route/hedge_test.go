@@ -209,62 +209,84 @@ func inFlight(t *testing.T, base string) int64 {
 	return st.InFlight
 }
 
-// TestRPCFallbackToHTTP pins a backend that refuses the VS3R handshake back
-// to HTTP: the request still succeeds over the HTTP leg, and the backend is
-// never retried over binary.
-func TestRPCFallbackToHTTP(t *testing.T) {
-	srv := serve.New(serve.Config{ID: "http-only", Pool: 1})
-	hts := httptest.NewServer(srv.Handler())
-	t.Cleanup(hts.Close)
-	// Advertise an rpc endpoint that is actually another HTTP server: the
-	// handshake will be refused.
-	notRPC := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+// TestNonVS3RBackends pins VS3R as the only data-plane wire. A backend whose
+// advertised endpoint refuses the handshake fails over like a dead node, and
+// the request is answered correctly by the next backend in ring order; a
+// backend that advertises no VS3R endpoint is reported not live and gets no
+// traffic, even for keys it owns on the ring.
+func TestNonVS3RBackends(t *testing.T) {
+	// An HTTP server posing as the advertised rpc endpoint refuses the
+	// handshake.
+	refuser := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
 		http.Error(w, "nope", http.StatusBadRequest)
 	}))
-	t.Cleanup(notRPC.Close)
-	srv.AdvertiseRPC(strings.TrimPrefix(notRPC.URL, "http://"))
+	t.Cleanup(refuser.Close)
+	refusing := startStub(t, &stubBackend{id: "refusing", advertise: strings.TrimPrefix(refuser.URL, "http://")})
+	httpOnly := startStub(t, &stubBackend{id: "http-only", advertise: "-"})
+	good := newStubBackend(t, "good")
 
-	r, err := New(Config{Backends: []string{hts.URL}, HealthInterval: 25 * time.Millisecond})
+	r, err := New(Config{
+		Backends:       []string{refusing.ts.URL, httpOnly.ts.URL, good.ts.URL},
+		HealthInterval: 25 * time.Millisecond,
+	})
 	if err != nil {
 		t.Fatal(err)
 	}
 	t.Cleanup(r.Close)
 	ts := httptest.NewServer(r.Handler())
 	t.Cleanup(ts.Close)
-
+	waitLive(t, r, 0)
+	waitLive(t, r, 2)
 	deadline := time.Now().Add(5 * time.Second)
-	for r.backends[0].rpcClient() == nil {
+	for r.backends[1].id() == "" {
 		if time.Now().After(deadline) {
-			t.Fatal("router never adopted the advertised rpc endpoint")
+			t.Fatal("sweep never reached the HTTP-only backend")
 		}
-		time.Sleep(10 * time.Millisecond)
+		time.Sleep(5 * time.Millisecond)
 	}
 
-	body, _ := json.Marshal(serve.VerifyRequest{Spec: hedgeSpec, Method: "lfp", TimeoutMS: 30_000})
-	resp, err := http.Post(ts.URL+"/v1/verify", "application/json", bytes.NewReader(body))
-	if err != nil {
-		t.Fatal(err)
+	// Keys owned by each of the three backends all end up on "good".
+	owned := map[int]int{}
+	for i := 0; owned[0] < 3 || owned[1] < 3 || owned[2] < 3; i++ {
+		if i > 10_000 {
+			t.Fatalf("ring never spread keys over all three backends: %v", owned)
+		}
+		spec := fmt.Sprintf("program N%d() { skip; }", i)
+		owner := r.ring.owner(serve.ProblemKey(spec))
+		if owned[owner] >= 3 {
+			continue
+		}
+		owned[owner]++
+		resp, body := postVerify(t, ts.URL, spec)
+		if resp.StatusCode != http.StatusOK {
+			t.Fatalf("key owned by backend %d: status %d: %s", owner, resp.StatusCode, body)
+		}
+		var vr serve.VerifyResponse
+		if err := json.Unmarshal(body, &vr); err != nil {
+			t.Fatalf("decoding %q: %v", body, err)
+		}
+		if !vr.Proved || vr.Invariants["by"] != "good" || resp.Header.Get("X-VS3-Backend") != "good" {
+			t.Fatalf("key owned by backend %d answered %+v by %q, want proved by good",
+				owner, vr, resp.Header.Get("X-VS3-Backend"))
+		}
 	}
-	raw := new(bytes.Buffer)
-	_, _ = raw.ReadFrom(resp.Body)
-	resp.Body.Close()
-	if resp.StatusCode != http.StatusOK {
-		t.Fatalf("fallback verify: status %d: %s", resp.StatusCode, raw.Bytes())
+
+	if n := httpOnly.served.Load(); n != 0 {
+		t.Errorf("HTTP-only backend answered %d calls, want none", n)
 	}
-	if !r.backends[0].notRPC.Load() {
-		t.Fatal("backend not pinned to HTTP after refused handshake")
+	sr := routerStats(t, ts.URL)
+	rows := map[string]BackendStats{}
+	for _, b := range sr.Backends {
+		rows[b.URL] = b
 	}
-	if r.backends[0].rpcClient() != nil {
-		t.Fatal("rpc client survived a refused handshake")
+	if row := rows[refusing.ts.URL]; row.Failovers < 1 {
+		t.Errorf("refused handshake never failed over: %+v", row)
 	}
-	// A second request must go straight over HTTP and still succeed.
-	resp2, err := http.Post(ts.URL+"/v1/verify", "application/json", bytes.NewReader(body))
-	if err != nil {
-		t.Fatal(err)
+	if row := rows[httpOnly.ts.URL]; row.Healthy || row.Proto != "none" || row.Routed != 0 {
+		t.Errorf("HTTP-only backend row %+v, want not live, proto none, nothing routed", row)
 	}
-	defer resp2.Body.Close()
-	if resp2.StatusCode != http.StatusOK {
-		t.Fatalf("second fallback verify: status %d", resp2.StatusCode)
+	if row := rows[good.ts.URL]; !row.Healthy || row.Proto != "rpc" {
+		t.Errorf("VS3R backend row %+v, want live over rpc", row)
 	}
 }
 

@@ -6,8 +6,10 @@
 // key keep landing on the same backend. The router consistently hashes each
 // request's canonical problem key (serve.ProblemKey) onto a ring of
 // backends, health-checks the fleet, fails over to the next live node in
-// ring order, and splits /v1/batch requests by backend affinity,
-// fanning out and merging the per-item result streams.
+// ring order, and splits /v1/batch requests by backend affinity, fanning
+// out and merging the per-item results. Requests reach backends only over
+// the binary VS3R wire (internal/rpc); the backends' HTTP URLs carry the
+// control plane (/healthz sweeps, the /v1/stats fan-out).
 package route
 
 import (

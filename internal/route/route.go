@@ -1,13 +1,11 @@
 package route
 
 import (
-	"bytes"
 	"context"
 	"encoding/json"
 	"errors"
 	"fmt"
 	"io"
-	"math/rand"
 	"net"
 	"net/http"
 	"net/url"
@@ -25,16 +23,10 @@ import (
 // Policy selects how single requests and batch items map to backends.
 type Policy string
 
-const (
-	// Affinity (the default) consistently hashes each request's problem key
-	// onto the backend ring, so every backend stays warm for its slice of
-	// the keyspace.
-	Affinity Policy = "affinity"
-	// Random spreads requests uniformly over live backends. It exists as
-	// the control arm for benchmarks (BENCH_6): same fleet, no affinity,
-	// so the warm-path advantage collapses to 1/N.
-	Random Policy = "random"
-)
+// Affinity (the only policy) consistently hashes each request's problem key
+// onto the backend ring, so every backend stays warm for its slice of the
+// keyspace.
+const Affinity Policy = "affinity"
 
 // Config tunes a Router.
 type Config struct {
@@ -48,7 +40,7 @@ type Config struct {
 	Weights []float64
 	// Replicas is the virtual-node count per weight-1 backend (default 128).
 	Replicas int
-	// Policy is Affinity or Random (default Affinity).
+	// Policy must be "" or Affinity.
 	Policy Policy
 	// HealthInterval is the period between /healthz sweeps (default 2s);
 	// HealthTimeout bounds one probe (default 1s).
@@ -57,19 +49,16 @@ type Config struct {
 	// RequestTimeout bounds one proxied request end to end, as a safety net
 	// over the backend's own deadline handling (default 10m).
 	RequestTimeout time.Duration
-	// Client overrides the HTTP client used to reach backends. The default
-	// keeps connections alive with a generous idle pool per backend, so a
-	// hot keyspace slice rides one warm TCP connection set.
+	// Client overrides the HTTP client of the control plane: /healthz
+	// sweeps and the /v1/stats fan-out. Requests and batch items travel
+	// over each backend's VS3R connection pool, never over this client.
 	Client *http.Client
 	// ID identifies the router in stats and metrics (default "vs3router").
 	ID string
-	// DisableRPC keeps every backend on HTTP even when it advertises a
-	// binary rpc endpoint (X-VS3-RPC). The control arm for benchmarks.
-	DisableRPC bool
-	// Hedge enables request hedging under the Affinity policy: when the
-	// owner backend has not answered within an adaptive delay (rolling p95
-	// of recent backend latency, clamped to [HedgeMin, HedgeMax]), the same
-	// request is fired at the ring successor and the loser is cancelled.
+	// Hedge enables request hedging: when the owner backend has not
+	// answered within an adaptive delay (rolling p95 of recent backend
+	// latency, clamped to [HedgeMin, HedgeMax]), the same request is fired
+	// at the ring successor and the loser is cancelled.
 	// Only the winner's answer is forwarded, so a verdict is never counted
 	// twice; the cancelled side aborts on the backend like any client
 	// disconnect (no false verdict, no leaked session).
@@ -78,9 +67,9 @@ type Config struct {
 	// 1s). Before ~20 latency samples exist the delay is 25ms.
 	HedgeMin time.Duration
 	HedgeMax time.Duration
-	// StoreAware enables store-aware placement under the Affinity policy:
-	// the health sweep keeps a bloom digest of each backend's solved problem
-	// keys (refetched only when the X-VS3-Store-Gen healthz header moves),
+	// StoreAware enables store-aware placement: the health sweep keeps a
+	// bloom digest of each backend's solved problem keys (refetched only
+	// when the X-VS3-Store-Gen healthz header moves),
 	// and a request whose key a live backend's digest claims is routed there
 	// ahead of plain ring order. After a ring change (reweight, node
 	// added/removed) this sends a known problem back to the node that already
@@ -116,12 +105,7 @@ func (c Config) normalize() Config {
 		c.HedgeMax = time.Second
 	}
 	if c.Client == nil {
-		transport := &http.Transport{
-			MaxIdleConns:        256,
-			MaxIdleConnsPerHost: 64,
-			IdleConnTimeout:     90 * time.Second,
-		}
-		c.Client = &http.Client{Transport: transport}
+		c.Client = &http.Client{Transport: &http.Transport{IdleConnTimeout: 90 * time.Second}}
 	}
 	return c
 }
@@ -135,12 +119,11 @@ type backend struct {
 	routed    atomic.Int64           // requests/items routed here
 	failovers atomic.Int64           // requests moved OFF this backend after a transport failure
 
-	// Binary rpc upgrade state. The health sweep discovers the backend's
-	// advertised rpc endpoint (X-VS3-RPC) and opens a persistent connection
-	// pool; a peer that refuses the VS3R handshake is pinned to HTTP.
-	rpcMu  sync.Mutex
-	rpcc   *rpc.Client
-	notRPC atomic.Bool // handshake refused: never retry binary on this backend
+	// The backend's VS3R connection pool, the only data-plane wire. The
+	// health sweep discovers the advertised endpoint (X-VS3-RPC) and
+	// (re)opens the pool when the address changes.
+	rpcMu sync.Mutex
+	rpcc  *rpc.Client
 
 	// Solved-outcome digest state (StoreAware). digest is the last parsed
 	// bloom digest (nil claims nothing); digestGen is the generation it
@@ -162,31 +145,16 @@ func (b *backend) id() string {
 	return ""
 }
 
-// rpcClient returns the backend's live rpc client, nil while it is
-// undiscovered or pinned to HTTP.
+// rpcClient returns the backend's rpc client, nil until the health sweep
+// has discovered its endpoint.
 func (b *backend) rpcClient() *rpc.Client {
 	b.rpcMu.Lock()
 	defer b.rpcMu.Unlock()
 	return b.rpcc
 }
 
-// dropRPC pins the backend to HTTP (the peer refused the VS3R handshake).
-func (b *backend) dropRPC() {
-	b.rpcMu.Lock()
-	c := b.rpcc
-	b.rpcc = nil
-	b.rpcMu.Unlock()
-	b.notRPC.Store(true)
-	if c != nil {
-		c.Close()
-	}
-}
-
 // adoptRPC opens (or keeps) a client for the advertised rpc address.
 func (b *backend) adoptRPC(addr string) {
-	if b.notRPC.Load() {
-		return
-	}
 	b.rpcMu.Lock()
 	defer b.rpcMu.Unlock()
 	if b.rpcc != nil && b.rpcc.Addr() == addr {
@@ -205,9 +173,6 @@ type Router struct {
 	ring     *ring
 	client   *http.Client
 	started  time.Time
-
-	rndMu sync.Mutex
-	rnd   *rand.Rand
 
 	rpcAddr atomic.Pointer[string] // advertised binary front (X-VS3-RPC)
 
@@ -233,16 +198,17 @@ type Router struct {
 	wg       sync.WaitGroup
 }
 
-// New builds a Router and starts its health-check loop. Backends start
-// healthy (optimistically) and are corrected by the first sweep; transport
-// failures also mark a backend unhealthy immediately (passive detection),
-// so failover does not wait for the next probe.
+// New builds a Router and starts its health-check loop. Backends start not
+// live and join rotation once a sweep sees /healthz answer 200 with a VS3R
+// endpoint advertised; transport failures also mark a backend down
+// immediately (passive detection), so failover does not wait for the next
+// probe.
 func New(cfg Config) (*Router, error) {
 	cfg = cfg.normalize()
 	if len(cfg.Backends) == 0 {
 		return nil, errors.New("route: at least one backend is required")
 	}
-	if cfg.Policy != Affinity && cfg.Policy != Random {
+	if cfg.Policy != Affinity {
 		return nil, fmt.Errorf("route: unknown policy %q", cfg.Policy)
 	}
 	if cfg.Weights != nil && len(cfg.Weights) != len(cfg.Backends) {
@@ -260,12 +226,10 @@ func New(cfg Config) (*Router, error) {
 		ring:    newRing(weights, cfg.Replicas),
 		client:  cfg.Client,
 		started: time.Now(),
-		rnd:     rand.New(rand.NewSource(time.Now().UnixNano())),
 		stopc:   make(chan struct{}),
 	}
 	for i, u := range cfg.Backends {
 		b := &backend{url: u, weight: weights[i]}
-		b.healthy.Store(true)
 		r.backends = append(r.backends, b)
 	}
 	r.wg.Add(1)
@@ -274,7 +238,7 @@ func New(cfg Config) (*Router, error) {
 }
 
 // Close stops the health loop, tears down persistent rpc connections, and
-// idles kept-alive HTTP connections.
+// idles kept-alive control-plane HTTP connections.
 func (r *Router) Close() {
 	r.stopOnce.Do(func() { close(r.stopc) })
 	r.wg.Wait()
@@ -306,9 +270,10 @@ func (r *Router) healthLoop() {
 	}
 }
 
-// sweep probes every backend's /healthz concurrently. A backend is healthy
-// only on HTTP 200 — a draining backend answers 503, so drain takes it out
-// of rotation without dropping its in-flight work.
+// sweep probes every backend's /healthz concurrently. A backend is live
+// only on HTTP 200 with a VS3R endpoint advertised (X-VS3-RPC) — a draining
+// backend answers 503, so drain takes it out of rotation without dropping
+// its in-flight work, and an HTTP-only backend is never routed to.
 func (r *Router) sweep() {
 	var wg sync.WaitGroup
 	for _, b := range r.backends {
@@ -332,14 +297,11 @@ func (r *Router) sweep() {
 			if id := resp.Header.Get("X-VS3-Backend"); id != "" {
 				b.serverID.Store(&id)
 			}
-			b.healthy.Store(resp.StatusCode == http.StatusOK)
-			if !r.cfg.DisableRPC {
-				if adv := resp.Header.Get("X-VS3-RPC"); adv != "" {
-					if addr := joinRPCAddr(b.url, adv); addr != "" {
-						b.adoptRPC(addr)
-					}
-				}
+			addr := joinRPCAddr(b.url, resp.Header.Get("X-VS3-RPC"))
+			if addr != "" {
+				b.adoptRPC(addr)
 			}
+			b.healthy.Store(resp.StatusCode == http.StatusOK && addr != "")
 			if r.cfg.StoreAware {
 				if gh := resp.Header.Get("X-VS3-Store-Gen"); gh != "" {
 					if gen, perr := strconv.ParseUint(gh, 10, 64); perr == nil {
@@ -354,8 +316,7 @@ func (r *Router) sweep() {
 
 // refreshDigest refetches b's solved-outcome digest when the generation the
 // backend advertises (on /healthz) has moved past the one the router holds.
-// The binary rpc surface answers without leasing a session; HTTP backends
-// fall back to the store_digest field of /v1/stats.
+// The backend answers rpc.KindDigest without leasing a session.
 func (r *Router) refreshDigest(b *backend, gen uint64) {
 	if gen == 0 || b.digestGen.Load() >= gen {
 		return
@@ -378,56 +339,29 @@ func (r *Router) refreshDigest(b *backend, gen uint64) {
 	b.digestGen.Store(got)
 }
 
-// fetchDigest retrieves a backend's encoded digest and its generation.
+// fetchDigest retrieves a backend's encoded digest and its generation over
+// its VS3R pool.
 func (r *Router) fetchDigest(b *backend) (encoded string, gen uint64, ok bool) {
-	ctx, cancel := context.WithTimeout(context.Background(), r.cfg.HealthTimeout)
-	defer cancel()
-	var body []byte
-	if c := b.rpcClient(); c != nil {
-		resp, err := c.Call(ctx, rpc.Request{Kind: rpc.KindDigest})
-		if err == nil && resp.Status == http.StatusOK {
-			body = resp.Body
-		}
-	}
-	if body == nil {
-		req, err := http.NewRequestWithContext(ctx, http.MethodGet, b.url+"/v1/stats", nil)
-		if err != nil {
-			return "", 0, false
-		}
-		resp, err := r.client.Do(req)
-		if err != nil {
-			return "", 0, false
-		}
-		defer resp.Body.Close()
-		if resp.StatusCode != http.StatusOK {
-			io.Copy(io.Discard, resp.Body)
-			return "", 0, false
-		}
-		body, err = io.ReadAll(io.LimitReader(resp.Body, maxProxyBody))
-		if err != nil {
-			return "", 0, false
-		}
-	}
-	// Both shapes carry the same information under different field names
-	// (serve.DigestResponse vs the /v1/stats store_digest fields).
-	var peek struct {
-		Digest      string `json:"digest"`
-		Gen         uint64 `json:"gen"`
-		StoreDigest string `json:"store_digest"`
-		StoreGen    uint64 `json:"store_digest_gen"`
-	}
-	if err := json.Unmarshal(body, &peek); err != nil {
+	c := b.rpcClient()
+	if c == nil {
 		return "", 0, false
 	}
-	if peek.StoreGen > 0 || peek.StoreDigest != "" {
-		return peek.StoreDigest, peek.StoreGen, true
+	ctx, cancel := context.WithTimeout(context.Background(), r.cfg.HealthTimeout)
+	defer cancel()
+	resp, err := c.Call(ctx, rpc.Request{Kind: rpc.KindDigest})
+	if err != nil || resp.Status != http.StatusOK {
+		return "", 0, false
 	}
-	return peek.Digest, peek.Gen, true
+	var d serve.DigestResponse
+	if err := json.Unmarshal(resp.Body, &d); err != nil {
+		return "", 0, false
+	}
+	return d.Digest, d.Gen, true
 }
 
 // joinRPCAddr resolves an advertised X-VS3-RPC value against the backend's
 // base URL: a bare ":port" inherits the backend host, a full "host:port"
-// stands alone.
+// stands alone, and an empty value (no advertisement) resolves to "".
 func joinRPCAddr(backendURL, adv string) string {
 	if !strings.HasPrefix(adv, ":") {
 		return adv
@@ -439,24 +373,18 @@ func joinRPCAddr(backendURL, adv string) string {
 	return net.JoinHostPort(u.Hostname(), strings.TrimPrefix(adv, ":"))
 }
 
-// candidates returns backend indices to try for key, best first. Affinity:
-// ring order from the key's hash, live nodes first (so a key whose owner
-// died lands deterministically on the owner's ring successor, and moves
-// back when the owner recovers). Random: a random permutation of live
-// nodes, dead ones appended as a last resort.
+// candidates returns backend indices to try for key, best first: ring order
+// from the key's hash, live nodes first (so a key whose owner died lands
+// deterministically on the owner's ring successor, and moves back when the
+// owner recovers), dead ones appended as a last resort.
 //
-// Under StoreAware + Affinity, live backends whose solved-outcome digest
+// Under StoreAware, live backends whose solved-outcome digest
 // claims the key are moved (stably) ahead of the rest: after a ring change
 // the node that already holds a problem's knowledge beats the new ring owner,
 // which would re-derive everything from scratch. When the ring owner itself
 // claims the key the order is unchanged and no store hit is counted.
 func (r *Router) candidates(key string) []int {
 	seq := r.ring.sequence(key)
-	if r.cfg.Policy == Random {
-		r.rndMu.Lock()
-		r.rnd.Shuffle(len(seq), func(i, j int) { seq[i], seq[j] = seq[j], seq[i] })
-		r.rndMu.Unlock()
-	}
 	live := make([]int, 0, len(seq))
 	dead := make([]int, 0, len(seq))
 	for _, i := range seq {
@@ -466,7 +394,7 @@ func (r *Router) candidates(key string) []int {
 			dead = append(dead, i)
 		}
 	}
-	if r.cfg.StoreAware && r.cfg.Policy == Affinity && len(live) > 1 {
+	if r.cfg.StoreAware && len(live) > 1 {
 		claiming := make([]int, 0, len(live))
 		rest := make([]int, 0, len(live))
 		for _, i := range live {
@@ -489,8 +417,8 @@ func (r *Router) candidates(key string) []int {
 // Handler returns the router's HTTP mux.
 func (r *Router) Handler() http.Handler {
 	mux := http.NewServeMux()
-	mux.HandleFunc("/v1/verify", func(w http.ResponseWriter, req *http.Request) { r.proxySingle(w, req, "/v1/verify") })
-	mux.HandleFunc("/v1/preconditions", func(w http.ResponseWriter, req *http.Request) { r.proxySingle(w, req, "/v1/preconditions") })
+	mux.HandleFunc("/v1/verify", func(w http.ResponseWriter, req *http.Request) { r.proxySingle(w, req, rpc.KindVerify) })
+	mux.HandleFunc("/v1/preconditions", func(w http.ResponseWriter, req *http.Request) { r.proxySingle(w, req, rpc.KindPreconditions) })
 	mux.HandleFunc("/v1/batch", r.handleBatch)
 	mux.HandleFunc("/v1/stats", r.handleStats)
 	mux.HandleFunc("/metrics", r.handleMetrics)
@@ -527,45 +455,31 @@ const maxProxyBody = 32 << 20
 
 // proxySingle routes one verify/preconditions request by its problem key.
 // Verification requests are idempotent, so a transport failure (connection
-// refused, reset mid-response) fails over to the next candidate backend;
-// HTTP-level answers (including 429 shed and 5xx) pass through untouched —
-// rerouting overload would defeat both affinity and load shedding.
-func (r *Router) proxySingle(w http.ResponseWriter, req *http.Request, path string) {
+// refused or cut, handshake refused, malformed frame) fails over to the
+// next candidate backend; backend answers (including 429 shed and 5xx) pass
+// through untouched — rerouting overload would defeat both affinity and
+// load shedding.
+func (r *Router) proxySingle(w http.ResponseWriter, req *http.Request, kind string) {
 	if req.Method != http.MethodPost {
 		w.Header().Set("Allow", http.MethodPost)
 		writeError(w, http.StatusMethodNotAllowed, errors.New("use POST"))
 		return
 	}
-	body, err := io.ReadAll(http.MaxBytesReader(w, req.Body, maxProxyBody))
-	if err != nil {
-		writeError(w, http.StatusBadRequest, fmt.Errorf("reading request body: %w", err))
-		return
-	}
-	var peek struct {
-		Spec      string `json:"spec"`
-		Method    string `json:"method"`
-		TimeoutMS int64  `json:"timeout_ms"`
-	}
-	if err := json.Unmarshal(body, &peek); err != nil {
+	var vr serve.VerifyRequest
+	if err := json.NewDecoder(http.MaxBytesReader(w, req.Body, maxProxyBody)).Decode(&vr); err != nil {
 		writeError(w, http.StatusBadRequest, fmt.Errorf("invalid request body: %w", err))
 		return
 	}
-	if peek.Spec == "" {
+	if vr.Spec == "" {
 		writeError(w, http.StatusBadRequest, errors.New("missing \"spec\""))
 		return
 	}
 	r.requests.Add(1)
-	key := serve.ProblemKey(peek.Spec)
-	client := serve.ClientKey(req)
-	kind := rpc.KindVerify
-	if path == "/v1/preconditions" {
-		kind = rpc.KindPreconditions
-	}
-	rpcReq := rpc.Request{Kind: kind, Method: peek.Method, TimeoutMS: peek.TimeoutMS, Spec: peek.Spec}
-
 	ctx, cancel := context.WithTimeout(req.Context(), r.cfg.RequestTimeout)
 	defer cancel()
-	res := r.execute(ctx, key, client, path, body, rpcReq)
+	res := r.execute(ctx, serve.ProblemKey(vr.Spec), rpc.Request{
+		Kind: kind, Method: vr.Method, TimeoutMS: vr.TimeoutMS, Client: serve.ClientKey(req), Spec: vr.Spec,
+	})
 	if res.err != nil {
 		r.noBackend.Add(1)
 		writeError(w, http.StatusBadGateway, fmt.Errorf("no live backend: %w", res.err))
@@ -583,26 +497,6 @@ func (r *Router) proxySingle(w http.ResponseWriter, req *http.Request, path stri
 	w.Header().Set("Content-Type", "application/json")
 	w.WriteHeader(res.status)
 	_, _ = w.Write(res.body)
-}
-
-// forward sends one request to a backend, propagating the originating
-// client's fair-queue key so backends schedule by end client, not by
-// router address.
-func (r *Router) forward(ctx context.Context, b *backend, path, client string, body []byte) (*http.Response, error) {
-	req, err := http.NewRequestWithContext(ctx, http.MethodPost, b.url+path, bytes.NewReader(body))
-	if err != nil {
-		return nil, err
-	}
-	req.Header.Set("Content-Type", "application/json")
-	req.Header.Set("X-VS3-Client", client)
-	resp, err := r.client.Do(req)
-	if err != nil {
-		return nil, err
-	}
-	if id := resp.Header.Get("X-VS3-Backend"); id != "" {
-		b.serverID.Store(&id)
-	}
-	return resp, nil
 }
 
 // errorResponse mirrors the backend error body shape.

@@ -3,8 +3,12 @@ package route
 import (
 	"bufio"
 	"bytes"
+	"context"
+	"encoding/binary"
 	"encoding/json"
 	"fmt"
+	"io"
+	"net"
 	"net/http"
 	"net/http/httptest"
 	"strings"
@@ -12,66 +16,67 @@ import (
 	"testing"
 	"time"
 
+	"repro/internal/rpc"
 	"repro/internal/serve"
 )
 
-// stubBackend is a scripted vs3d stand-in speaking just enough of the wire
-// protocol (verify JSON, batch NDJSON, healthz, stats) for router tests —
-// no engine, so tests are fast and failure modes are scriptable.
+// stubBackend is a scripted vs3d stand-in speaking just enough of the two
+// planes for router tests — /healthz and /v1/stats over HTTP, verify and
+// digest calls over a real VS3R listener — with no engine, so tests are fast
+// and failure modes are scriptable.
 type stubBackend struct {
 	id     string
+	digest string // solved-outcome digest answered for rpc.KindDigest
+	gen    uint64 // digest generation, advertised as X-VS3-Store-Gen when > 0
+	// advertise overrides the X-VS3-RPC value: "" advertises the stub's own
+	// listener, "-" advertises nothing (an HTTP-only backend).
+	advertise string
+
 	ts     *httptest.Server
+	rpcLn  net.Listener
+	rsrv   *rpc.Server
 	served atomic.Int64
-	// dieAfterBatchLines > 0 cuts the batch stream after that many result
-	// lines (simulating a backend death mid-batch). dieVerify aborts every
-	// verify request at the transport level.
-	dieAfterBatchLines atomic.Int64
-	dieVerify          atomic.Bool
+	dead   atomic.Bool
+	// answerCalls > 0 answers that many verify calls, then kills the stub:
+	// every later call fails at the transport level.
+	answerCalls atomic.Int64
+	calls       atomic.Int64
+	answered    chan struct{} // closed once answerCalls calls have returned
 }
 
 func newStubBackend(t *testing.T, id string) *stubBackend {
-	b := &stubBackend{id: id}
+	return startStub(t, &stubBackend{id: id})
+}
+
+// startStub serves b's HTTP control plane and its VS3R listener.
+func startStub(t *testing.T, b *stubBackend) *stubBackend {
+	t.Helper()
+	b.answered = make(chan struct{})
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	b.rpcLn = ln
+	b.rsrv = rpc.NewServer(b, rpc.ServerConfig{})
+	go func() { _ = b.rsrv.Serve(ln) }()
+	adv := b.advertise
+	if adv == "" {
+		adv = ln.Addr().String()
+	}
 	mux := http.NewServeMux()
 	mux.HandleFunc("/healthz", func(w http.ResponseWriter, r *http.Request) {
 		w.Header().Set("X-VS3-Backend", b.id)
+		if adv != "-" {
+			w.Header().Set("X-VS3-RPC", adv)
+		}
+		if b.gen > 0 {
+			w.Header().Set("X-VS3-Store-Gen", fmt.Sprint(b.gen))
+		}
+		if b.dead.Load() {
+			w.WriteHeader(http.StatusServiceUnavailable)
+			return
+		}
 		fmt.Fprintln(w, "ok")
-	})
-	mux.HandleFunc("/v1/verify", func(w http.ResponseWriter, r *http.Request) {
-		if b.dieVerify.Load() {
-			panic(http.ErrAbortHandler)
-		}
-		b.served.Add(1)
-		var req serve.VerifyRequest
-		_ = json.NewDecoder(r.Body).Decode(&req)
-		w.Header().Set("X-VS3-Backend", b.id)
-		w.Header().Set("X-VS3-Problem-Key", serve.ProblemKey(req.Spec))
-		// Echo the fair-queue client key in the body (headers beyond the
-		// documented set are not proxied back).
-		json.NewEncoder(w).Encode(serve.VerifyResponse{
-			Method: "LFP", Proved: true,
-			Invariants: map[string]string{"client": r.Header.Get("X-VS3-Client")},
-		})
-	})
-	mux.HandleFunc("/v1/batch", func(w http.ResponseWriter, r *http.Request) {
-		var req serve.BatchRequest
-		_ = json.NewDecoder(r.Body).Decode(&req)
-		w.Header().Set("X-VS3-Backend", b.id)
-		w.Header().Set("Content-Type", "application/x-ndjson")
-		flusher := w.(http.Flusher)
-		die := b.dieAfterBatchLines.Load()
-		enc := json.NewEncoder(w)
-		for i := range req.Items {
-			if die > 0 && int64(i) >= die {
-				panic(http.ErrAbortHandler)
-			}
-			b.served.Add(1)
-			_ = enc.Encode(serve.BatchResult{
-				Index: i, OK: true, Status: http.StatusOK,
-				ProblemKey: serve.ProblemKey(req.Items[i].Spec),
-				Verify:     &serve.VerifyResponse{Method: "LFP", Proved: true, Invariants: map[string]string{"by": b.id}},
-			})
-			flusher.Flush()
-		}
 	})
 	mux.HandleFunc("/v1/stats", func(w http.ResponseWriter, r *http.Request) {
 		json.NewEncoder(w).Encode(map[string]int64{
@@ -79,10 +84,50 @@ func newStubBackend(t *testing.T, id string) *stubBackend {
 		})
 	})
 	b.ts = httptest.NewServer(mux)
-	t.Cleanup(b.ts.Close)
+	t.Cleanup(func() { b.kill(); b.ts.Close() })
 	return b
 }
 
+// kill takes the stub down at the transport level: its VS3R listener and
+// every open connection close (in-flight calls see a cut connection, new
+// dials are refused) and /healthz answers 503.
+func (b *stubBackend) kill() {
+	b.dead.Store(true)
+	b.rpcLn.Close()
+	b.rsrv.Close()
+}
+
+// ServeRPC answers verify calls with a proved verdict naming the stub and
+// echoing the fair-queue client key, and digest calls with the stub's
+// digest.
+func (b *stubBackend) ServeRPC(ctx context.Context, req rpc.Request) rpc.Response {
+	if req.Kind == rpc.KindDigest {
+		body, _ := json.Marshal(serve.DigestResponse{Digest: b.digest, Gen: b.gen})
+		return rpc.Response{Status: http.StatusOK, Backend: b.id, Body: body}
+	}
+	if n := b.answerCalls.Load(); n > 0 {
+		if k := b.calls.Add(1); k > n {
+			// Let the answered calls' responses reach the wire, then cut
+			// every connection; this call's answer is never written.
+			<-b.answered
+			time.Sleep(20 * time.Millisecond)
+			b.kill()
+			<-ctx.Done()
+			return rpc.Response{Status: 499}
+		} else if k == n {
+			defer close(b.answered)
+		}
+	}
+	b.served.Add(1)
+	body, _ := json.Marshal(serve.VerifyResponse{
+		Method: "LFP", Proved: true,
+		Invariants: map[string]string{"by": b.id, "client": req.Client},
+	})
+	return rpc.Response{Status: http.StatusOK, ProblemKey: serve.ProblemKey(req.Spec), Backend: b.id, Body: body}
+}
+
+// newTestRouter fronts backends with a Router and its HTTP handler, and
+// waits until the health sweep has made every backend live over VS3R.
 func newTestRouter(t *testing.T, cfg Config, backends ...*stubBackend) (*Router, *httptest.Server) {
 	for _, b := range backends {
 		cfg.Backends = append(cfg.Backends, b.ts.URL)
@@ -97,7 +142,22 @@ func newTestRouter(t *testing.T, cfg Config, backends ...*stubBackend) (*Router,
 	t.Cleanup(r.Close)
 	ts := httptest.NewServer(r.Handler())
 	t.Cleanup(ts.Close)
+	for i := range backends {
+		waitLive(t, r, i)
+	}
 	return r, ts
+}
+
+// waitLive blocks until backend i is live: healthy with a VS3R client.
+func waitLive(t *testing.T, r *Router, i int) {
+	t.Helper()
+	deadline := time.Now().Add(5 * time.Second)
+	for !r.backends[i].healthy.Load() || r.backends[i].rpcClient() == nil {
+		if time.Now().After(deadline) {
+			t.Fatalf("backend %d never went live over VS3R", i)
+		}
+		time.Sleep(5 * time.Millisecond)
+	}
 }
 
 func postVerify(t *testing.T, url, spec string) (*http.Response, []byte) {
@@ -198,9 +258,7 @@ func TestFailoverOnDeadBackend(t *testing.T) {
 		t.Fatalf("victim spec served by %s, expected backend-1", firstOwner)
 	}
 
-	b1.dieVerify.Store(true) // transport-level death, health endpoint still up? No: kill whole server.
-	b1.ts.CloseClientConnections()
-	b1.ts.Close()
+	b1.kill()
 
 	for i := 0; i < 3; i++ {
 		resp, body := postVerify(t, ts.URL, victim)
@@ -265,9 +323,9 @@ func TestBatchSplitMerge(t *testing.T) {
 	}
 }
 
-// TestBatchFailoverMidStream cuts one backend after it has answered two
-// items of its sub-batch: the unanswered items must be re-sent to the
-// survivor and every index still answered exactly once.
+// TestBatchFailoverMidStream cuts one backend at the transport level after
+// it has answered two calls of its group: the unanswered items must be
+// re-sent to the survivor and every index still answered exactly once.
 func TestBatchFailoverMidStream(t *testing.T) {
 	b1 := newStubBackend(t, "backend-1")
 	b2 := newStubBackend(t, "backend-2")
@@ -283,7 +341,7 @@ func TestBatchFailoverMidStream(t *testing.T) {
 		}
 		items = append(items, serve.VerifyRequest{Spec: spec})
 	}
-	b1.dieAfterBatchLines.Store(2)
+	b1.answerCalls.Store(2)
 
 	results := postBatch(t, ts.URL, serve.BatchRequest{Items: items})
 	if len(results) != len(items) {
@@ -308,23 +366,8 @@ func TestBatchFailoverMidStream(t *testing.T) {
 	if sr.Failovers < 1 {
 		t.Errorf("failovers = %d after mid-stream death, want >= 1", sr.Failovers)
 	}
-}
-
-// TestRandomPolicySpreads is the control arm: under Random, a single hot
-// key is served by more than one backend (which is exactly why Random
-// destroys cache affinity).
-func TestRandomPolicySpreads(t *testing.T) {
-	b1 := newStubBackend(t, "backend-1")
-	b2 := newStubBackend(t, "backend-2")
-	_, ts := newTestRouter(t, Config{Policy: Random}, b1, b2)
-
-	used := map[string]bool{}
-	for i := 0; i < 32; i++ {
-		resp, _ := postVerify(t, ts.URL, "program Hot() { skip; }")
-		used[resp.Header.Get("X-VS3-Backend")] = true
-	}
-	if len(used) < 2 {
-		t.Errorf("32 random-policy requests for one key all hit one backend (p = 2^-31)")
+	if served := b1.served.Load() + b2.served.Load(); served < int64(len(items)) {
+		t.Errorf("backends answered %d calls for %d items", served, len(items))
 	}
 }
 
@@ -408,4 +451,72 @@ func postBatch(t *testing.T, base string, req serve.BatchRequest) []serve.BatchR
 		t.Fatal(err)
 	}
 	return results
+}
+
+// startGarbledRPC serves a VS3R peer that completes the handshake and then
+// answers every call with status 1000, outside what net/http can write.
+func startGarbledRPC(t *testing.T) string {
+	t.Helper()
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { ln.Close() })
+	go func() {
+		for {
+			conn, err := ln.Accept()
+			if err != nil {
+				return
+			}
+			go func(conn net.Conn) {
+				defer conn.Close()
+				br := bufio.NewReader(conn)
+				var hello [5]byte
+				if _, err := io.ReadFull(br, hello[:]); err != nil {
+					return
+				}
+				conn.Write([]byte(rpc.Magic + "\x01"))
+				for {
+					n, err := binary.ReadUvarint(br)
+					if err != nil {
+						return
+					}
+					frame := make([]byte, n)
+					if _, err := io.ReadFull(br, frame); err != nil || frame[0] != 0x01 {
+						return // not a REQ frame
+					}
+					stream, _ := binary.Uvarint(frame[1:])
+					resp := binary.AppendUvarint([]byte{0x02}, stream) // RESP frame
+					resp = binary.AppendUvarint(resp, 1000)            // status
+					resp = append(resp, 0, 0, 0)                       // empty key, backend, body
+					conn.Write(append(binary.AppendUvarint(nil, uint64(len(resp))), resp...))
+				}
+			}(conn)
+		}
+	}()
+	return ln.Addr().String()
+}
+
+// TestOutOfRangeStatusFailsOver: a backend whose RESP frame carries a status
+// net/http cannot write fails over like a transport failure, so the edge
+// request is answered by the next backend instead of panicking in
+// WriteHeader and dropping the client's connection.
+func TestOutOfRangeStatusFailsOver(t *testing.T) {
+	garbled := startStub(t, &stubBackend{id: "garbled", advertise: startGarbledRPC(t)})
+	good := newStubBackend(t, "good")
+	r, ts := newTestRouter(t, Config{}, garbled, good)
+
+	spec := ""
+	for i := 0; spec == ""; i++ {
+		if cand := fmt.Sprintf("program G%d() { skip; }", i); r.ring.owner(serve.ProblemKey(cand)) == 0 {
+			spec = cand
+		}
+	}
+	resp, body := postVerify(t, ts.URL, spec)
+	if resp.StatusCode != http.StatusOK || resp.Header.Get("X-VS3-Backend") != "good" {
+		t.Fatalf("status %d from %q: %s; want 200 from good", resp.StatusCode, resp.Header.Get("X-VS3-Backend"), body)
+	}
+	if sr := routerStats(t, ts.URL); sr.Failovers < 1 {
+		t.Errorf("failovers = %d, want >= 1", sr.Failovers)
+	}
 }

@@ -1,9 +1,7 @@
 package route
 
 import (
-	"encoding/json"
 	"fmt"
-	"net/http"
 	"net/http/httptest"
 	"testing"
 	"time"
@@ -12,41 +10,11 @@ import (
 	"repro/internal/store"
 )
 
-// digestBackend is a minimal vs3d stand-in for store-aware routing tests: it
-// advertises a solved-outcome digest generation on /healthz and serves the
-// encoded digest from /v1/stats, exactly like a real backend with a store.
-type digestBackend struct {
-	id     string
-	ts     *httptest.Server
-	digest string
-	gen    uint64
-}
-
-func newDigestBackend(t *testing.T, id, digest string, gen uint64) *digestBackend {
-	b := &digestBackend{id: id, digest: digest, gen: gen}
-	mux := http.NewServeMux()
-	mux.HandleFunc("/healthz", func(w http.ResponseWriter, r *http.Request) {
-		w.Header().Set("X-VS3-Backend", b.id)
-		if b.gen > 0 {
-			w.Header().Set("X-VS3-Store-Gen", fmt.Sprint(b.gen))
-		}
-		fmt.Fprintln(w, "ok")
-	})
-	mux.HandleFunc("/v1/stats", func(w http.ResponseWriter, r *http.Request) {
-		json.NewEncoder(w).Encode(map[string]any{
-			"store_digest": b.digest, "store_digest_gen": b.gen,
-		})
-	})
-	mux.HandleFunc("/v1/verify", func(w http.ResponseWriter, r *http.Request) {
-		var req serve.VerifyRequest
-		_ = json.NewDecoder(r.Body).Decode(&req)
-		w.Header().Set("X-VS3-Backend", b.id)
-		w.Header().Set("X-VS3-Problem-Key", serve.ProblemKey(req.Spec))
-		json.NewEncoder(w).Encode(serve.VerifyResponse{Method: "LFP", Proved: true})
-	})
-	b.ts = httptest.NewServer(mux)
-	t.Cleanup(b.ts.Close)
-	return b
+// newDigestBackend is a stub backend with a store: it advertises its
+// solved-outcome digest generation on /healthz and answers rpc.KindDigest
+// with the encoded digest, exactly like a real backend with a store.
+func newDigestBackend(t *testing.T, id, digest string, gen uint64) *stubBackend {
+	return startStub(t, &stubBackend{id: id, digest: digest, gen: gen})
 }
 
 // outcomeDigestFor builds a genuine store digest claiming exactly keys, via a
@@ -103,6 +71,8 @@ func TestStoreAwareRouting(t *testing.T) {
 	ts := httptest.NewServer(r.Handler())
 	t.Cleanup(ts.Close)
 
+	waitLive(t, r, 0)
+	waitLive(t, r, 1)
 	deadline := time.Now().Add(5 * time.Second)
 	for r.backends[0].digestGen.Load() < gen {
 		if time.Now().After(deadline) {
@@ -154,13 +124,8 @@ func TestStoreAwareDisabledKeepsRingOrder(t *testing.T) {
 	}
 	t.Cleanup(r.Close)
 
-	deadline := time.Now().Add(2 * time.Second)
-	for r.backends[0].id() == "" {
-		if time.Now().After(deadline) {
-			t.Fatal("sweep never reached the backends")
-		}
-		time.Sleep(10 * time.Millisecond)
-	}
+	waitLive(t, r, 0)
+	waitLive(t, r, 1)
 	if g := r.backends[0].digestGen.Load(); g != 0 {
 		t.Fatalf("digest fetched with StoreAware off (gen %d)", g)
 	}

@@ -103,10 +103,10 @@ func (c *Client) Close() {
 
 // Call executes one request. A cancelled ctx sends a CANCEL frame for the
 // stream (the server bridges it into the engine's cooperative Stop) and
-// returns ctx.Err(). ErrNotRPC (wrapped) reports a peer that refused the
-// handshake — callers fall back to HTTP; other errors are transport-level
-// (the callers' failover signal). A stale pooled connection that died while
-// idle is retried once on a fresh dial before reporting failure.
+// returns ctx.Err(). Every other error is transport-level (the callers'
+// failover signal); ErrNotRPC (wrapped) marks a peer that refused the
+// handshake. A stale pooled connection that died while idle is retried once
+// on a fresh dial before reporting failure.
 func (c *Client) Call(ctx context.Context, req Request) (Response, error) {
 	payload, err := encodeRequest(req)
 	if err != nil {

@@ -168,7 +168,7 @@ func TestCancelPropagatesToHandler(t *testing.T) {
 
 func TestNotRPCPeer(t *testing.T) {
 	// A plain TCP server that answers like HTTP: the handshake must fail
-	// with ErrNotRPC, the caller's fall-back-to-HTTP signal.
+	// with ErrNotRPC, a transport failure the caller fails over on.
 	ln, err := net.Listen("tcp", "127.0.0.1:0")
 	if err != nil {
 		t.Fatal(err)
@@ -344,5 +344,23 @@ func TestErrorBody(t *testing.T) {
 	want := `{"error":"bad \"spec\"\nline"}`
 	if got != want {
 		t.Fatalf("errorBody = %s, want %s", got, want)
+	}
+}
+
+// TestDecodeResponseRejectsOutOfRangeStatus: a RESP status outside
+// [minStatus, maxStatus] is a decode error (which fails the connection, the
+// callers' failover signal), never a Response a router would hand to
+// http.ResponseWriter.WriteHeader — which panics outside 100–999.
+func TestDecodeResponseRejectsOutOfRangeStatus(t *testing.T) {
+	for _, status := range []int{0, 1, 99, 1000, 1 << 40} {
+		if resp, err := decodeResponse(encodeResponse(Response{Status: status, Body: []byte("{}")})); err == nil {
+			t.Errorf("status %d decoded as %+v, want an error", status, resp)
+		}
+	}
+	for _, status := range []int{minStatus, 200, 499, maxStatus} {
+		resp, err := decodeResponse(encodeResponse(Response{Status: status}))
+		if err != nil || resp.Status != status {
+			t.Errorf("status %d: got %+v, %v", status, resp, err)
+		}
 	}
 }

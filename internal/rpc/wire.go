@@ -1,16 +1,17 @@
 // Package rpc is the binary transport of the serving tier: a dependency-free,
 // length-prefixed framing protocol carrying verify/preconditions calls over
 // persistent multiplexed TCP connections. HTTP/JSON remains the public
-// surface; rpc exists for high-fan-in internal callers (cmd/vs3router fanning
-// requests over a fleet, cmd/vs3load driving it) where per-request connection
-// setup, header parsing, and one-request-per-roundtrip framing dominate the
-// warm path the engine has already driven to sub-millisecond (see DESIGN.md
-// §16).
+// surface; rpc is the only data-plane wire between cmd/vs3router and its
+// vs3d backends, and an optional front for bulk clients (cmd/vs3load). On
+// those hops per-request connection setup, header parsing, and
+// one-request-per-roundtrip framing would dominate the warm path the engine
+// has already driven to sub-millisecond (see DESIGN.md §16).
 //
 // Connection establishment is a 5-byte handshake in each direction — the
 // 4-byte magic "VS3R" followed by a protocol version byte. A peer that
 // answers anything else (an HTTP server, an older build) is not speaking
-// rpc; clients surface that as ErrNotRPC so callers can fall back to HTTP.
+// rpc; clients surface that as ErrNotRPC, a transport failure like any
+// other.
 //
 // After the handshake the connection carries frames, each:
 //
@@ -35,6 +36,7 @@ import (
 	"errors"
 	"fmt"
 	"io"
+	"math"
 )
 
 // Protocol constants. There is no version negotiation — a mismatch is a
@@ -68,10 +70,10 @@ const (
 	// KindPreconditions enumerates maximally-weak preconditions (the
 	// POST /v1/preconditions analog).
 	KindPreconditions = "preconditions"
-	// KindDigest fetches the backend's solved-outcome bloom digest (the
-	// store_digest field of GET /v1/stats). No spec; answered without
-	// leasing a verifier session, so the router's sweep can refresh digests
-	// cheaply over an already-open connection.
+	// KindDigest fetches the backend's solved-outcome bloom digest and its
+	// generation (serve.DigestResponse). No spec; answered without leasing a
+	// verifier session, so the router's sweep can refresh digests cheaply
+	// over an already-open connection.
 	KindDigest = "digest"
 )
 
@@ -87,11 +89,12 @@ type Request struct {
 }
 
 // Response is one call's answer. Status is the HTTP status an equivalent
-// HTTP request would have carried (200, 400, 429, 499, 504, ...); Body is
-// the exact JSON body that request would have returned (serve.VerifyResponse,
-// serve.PreconditionsResponse, or the {"error": ...} shape), so a caller can
-// fall back between transports without two decoders. ProblemKey and Backend
-// are the X-VS3-Problem-Key / X-VS3-Backend header analogs.
+// HTTP request would have carried (200, 400, 429, 499, 504, ...); a decoded
+// one always lies in 100–999. Body is the exact JSON body that request
+// would have returned (serve.VerifyResponse, serve.PreconditionsResponse,
+// or the {"error": ...} shape), so a router can relay it to an HTTP client
+// unchanged. ProblemKey and Backend are the X-VS3-Problem-Key /
+// X-VS3-Backend header analogs.
 type Response struct {
 	Status     int
 	ProblemKey string
@@ -99,9 +102,16 @@ type Response struct {
 	Body       []byte
 }
 
+// minStatus and maxStatus bound a response status: the range net/http's
+// WriteHeader accepts, so a relayed status can never panic an HTTP edge.
+const (
+	minStatus = 100
+	maxStatus = 999
+)
+
 // ErrNotRPC reports that the remote peer did not complete the rpc handshake
-// (wrong magic or version) — it is probably an HTTP-only backend. Callers
-// fall back to HTTP on it rather than failing over to another backend.
+// (wrong magic or version) — it is probably an HTTP-only server. It is a
+// transport failure like any other: callers fail over to another backend.
 var ErrNotRPC = errors.New("rpc: peer did not complete the VS3R handshake")
 
 // handshake writes our 5 bytes and checks the peer's. Symmetric: both ends
@@ -245,6 +255,9 @@ func decodeRequest(payload []byte) (Request, error) {
 	if used <= 0 {
 		return Request{}, errors.New("rpc: truncated timeout")
 	}
+	if timeout > math.MaxInt64 {
+		return Request{}, fmt.Errorf("rpc: timeout %d out of range", timeout)
+	}
 	req.TimeoutMS = int64(timeout)
 	var err error
 	if req.Method, rest, err = takeString(rest[used:]); err != nil {
@@ -279,6 +292,9 @@ func decodeResponse(payload []byte) (Response, error) {
 	status, used := binary.Uvarint(payload)
 	if used <= 0 {
 		return Response{}, errors.New("rpc: truncated status")
+	}
+	if status < minStatus || status > maxStatus {
+		return Response{}, fmt.Errorf("rpc: status %d out of range", status)
 	}
 	resp.Status = int(status)
 	rest := payload[used:]

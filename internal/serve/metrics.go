@@ -33,7 +33,7 @@ func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
 	pw.Counter("vs3d_truncated_total", "Runs that reported a clipped search.", float64(sr.Truncated), id...)
 	pw.Counter("vs3d_batches_total", "Accepted /v1/batch requests.", float64(sr.Batches), id...)
 	pw.Counter("vs3d_batch_items_total", "Items across all accepted batches.", float64(sr.BatchItems), id...)
-	pw.Gauge("vs3d_rpc_conns", "Open binary rpc connections (0 when -rpc is off).", float64(sr.RPCConns), id...)
+	pw.Gauge("vs3d_rpc_conns", "Open binary rpc connections.", float64(sr.RPCConns), id...)
 	pw.Gauge("vs3d_rpc_streams", "Binary rpc streams currently executing.", float64(sr.RPCStreams), id...)
 	pw.Counter("vs3d_rpc_requests_total", "Requests accepted over the binary rpc surface.", float64(sr.RPCRequests), id...)
 	pw.Counter("vs3d_rpc_cancels_total", "Binary rpc streams cancelled by their client.", float64(sr.RPCCancels), id...)

@@ -226,8 +226,8 @@ func (s *Server) ID() string { return s.cfg.ID }
 
 // AdvertiseRPC publishes addr (":port" or "host:port") as this backend's
 // binary rpc endpoint. Every HTTP response then carries it in the X-VS3-RPC
-// header, which the router's health sweep reads to discover and upgrade to
-// the binary transport (a ":port" value is joined with the backend URL's
+// header, which the router's health sweep reads to discover the only wire it
+// sends requests over (a ":port" value is joined with the backend URL's
 // host). cmd/vs3d calls this once the -rpc listener is bound.
 func (s *Server) AdvertiseRPC(addr string) { s.rpcAddr.Store(&addr) }
 
@@ -653,7 +653,7 @@ type statsResponse struct {
 	Batches       int64   `json:"batches"`
 	BatchItems    int64   `json:"batch_items"`
 
-	// Binary rpc surface (zero-valued when -rpc is not enabled): the
+	// Binary rpc surface (zero-valued until SetRPCStats is called): the
 	// advertised listen address, open handshaken connections, currently
 	// executing streams, and lifetime accepted-request / honored-cancel
 	// counters.
@@ -712,16 +712,14 @@ type statsResponse struct {
 	StoreFlushRetry  int64 `json:"store_flush_retries,omitempty"`
 
 	// Compaction counters and the generational log's size accounting
-	// (log_bytes on disk vs live_bytes of deduplicated records), plus the
-	// solved-outcome bloom digest the router's store-aware placement reads
-	// (see store.OutcomeDigest; the gen changes exactly when the digest may).
-	StoreCompactions    int64  `json:"store_compactions,omitempty"`
-	StoreCompactErrors  int64  `json:"store_compact_errors,omitempty"`
-	StoreReclaimedBytes int64  `json:"store_reclaimed_bytes,omitempty"`
-	StoreLogBytes       int64  `json:"store_log_bytes,omitempty"`
-	StoreLiveBytes      int64  `json:"store_live_bytes,omitempty"`
-	StoreDigest         string `json:"store_digest,omitempty"`
-	StoreDigestGen      uint64 `json:"store_digest_gen,omitempty"`
+	// (log_bytes on disk vs live_bytes of deduplicated records). The
+	// solved-outcome digest the router's store-aware placement reads is
+	// served over rpc (rpc.KindDigest), not here.
+	StoreCompactions    int64 `json:"store_compactions,omitempty"`
+	StoreCompactErrors  int64 `json:"store_compact_errors,omitempty"`
+	StoreReclaimedBytes int64 `json:"store_reclaimed_bytes,omitempty"`
+	StoreLogBytes       int64 `json:"store_log_bytes,omitempty"`
+	StoreLiveBytes      int64 `json:"store_live_bytes,omitempty"`
 
 	// Collector is the merge of every finished request's collector delta.
 	Collector stats.Snapshot `json:"collector"`
@@ -796,7 +794,6 @@ func (s *Server) statsSnapshot() statsResponse {
 		resp.StoreReclaimedBytes = ss.ReclaimedBytes
 		resp.StoreLogBytes = ss.LogBytes
 		resp.StoreLiveBytes = ss.LiveBytes
-		resp.StoreDigest, resp.StoreDigestGen = st.OutcomeDigest()
 		if len(s.sessions) > 0 {
 			// One CoreStore is shared by all sessions; count its promotions once.
 			resp.StoreWarmCores = s.sessions[0].v.Engine().NumWarmCores()
