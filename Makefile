@@ -1,5 +1,5 @@
-# Build/test targets. The tier-1 flow is `make check`: build, vet, the
-# default test suite, and a short race-detector pass over every package
+# Build/test targets. The tier-1 flow is `make check`: the gofmt gate, build,
+# vet, the default test suite, and a short race-detector pass over every package
 # (exercising the interner's and the parallel engine's concurrency claims).
 # `make test-short` is the <60s developer loop; `make bench` runs the
 # engine microbenchmarks; `make bench-json` writes a machine-readable
@@ -14,9 +14,14 @@ BENCH_N ?= 4
 # Baseline report that bench-compare diffs against.
 BENCH_BASE ?= BENCH_3.json
 
-.PHONY: all build vet test test-short test-race test-differential serve-smoke cluster-smoke rpc-smoke restart-smoke compact-smoke fuzz-rpc bench-cluster bench-lia bench-warm bench-rpc bench-compact bench bench-json bench-compare bench-quick profile check clean
+.PHONY: all fmt build vet test test-short test-race test-differential serve-smoke cluster-smoke rpc-smoke restart-smoke compact-smoke fuzz-rpc fuzz-store bench-cluster bench-lia bench-warm bench-rpc bench-compact bench bench-json bench-compare bench-quick profile check clean
 
 all: check
+
+# Formatting gate: fails, listing the offending files, when gofmt would
+# rewrite any file in the module.
+fmt:
+	@out=$$(gofmt -l .); if [ -n "$$out" ]; then echo "gofmt needed on:"; echo "$$out"; exit 1; fi
 
 build:
 	$(GO) build ./...
@@ -56,8 +61,14 @@ test-race:
 # header re-checks, concurrent appends), and the warm-vs-cold plus
 # warm-vs-compacted verdict-identity sweeps over every examples/ problem (a
 # reopened — or compacted-then-reopened — knowledge store must prove exactly
-# what the cold lifetime proved).
+# what the cold lifetime proved). The rewrite lines compare the
+# structure-sharing formula rewrites (Simplify, NNF, StandardizeApart, the
+# Substitute family, RewriteArrayEq, skolemize, instantiate) with their
+# rebuild-everything oracles over seeded random formulas, and check that an
+# input a rewrite leaves unchanged costs no allocation.
 test-differential:
+	$(GO) test -race -run 'TestRewriteDifferential|TestRewriteZeroAlloc' ./internal/logic/
+	$(GO) test -race -run 'TestQuantDifferential|TestQuantZeroAlloc' ./internal/smt/
 	$(GO) test -short -race -run 'TestReusedVsFresh|TestSolveAssuming|TestSolveReuse|TestContext|TestFixpointDeterministic|TestFixpointIncremental|TestPsiProg|TestCFPIncremental' \
 		./internal/sat/ ./internal/smt/ ./internal/fixpoint/ ./internal/cbi/
 	$(GO) test -race -run 'TestRandomGeneralAgainstBox|TestRandomDifferenceAgainstBox|TestLinChecker|TestDiffChecker' ./internal/lia/
@@ -110,6 +121,15 @@ fuzz-rpc:
 	$(GO) test -run '^$$' -fuzz '^FuzzReadFrame$$' -fuzztime=10s ./internal/rpc/
 	$(GO) test -run '^$$' -fuzz '^FuzzDecodeRequest$$' -fuzztime=10s ./internal/rpc/
 	$(GO) test -run '^$$' -fuzz '^FuzzDecodeResponse$$' -fuzztime=10s ./internal/rpc/
+
+# Short fuzz budget for the knowledge-log decoders (record line, header line)
+# and the outcome-digest parser: no input may panic, and whatever parses must
+# round-trip through its encoder. The seed corpus is committed under
+# internal/store/testdata/fuzz/.
+fuzz-store:
+	$(GO) test -run '^$$' -fuzz '^FuzzDecodeRecord$$' -fuzztime=10s ./internal/store/
+	$(GO) test -run '^$$' -fuzz '^FuzzCheckHeaderLine$$' -fuzztime=10s ./internal/store/
+	$(GO) test -run '^$$' -fuzz '^FuzzParseBloomDigest$$' -fuzztime=10s ./internal/store/
 
 # Routing benchmark (first run for PR 6): a single node and 2 backends
 # behind affinity routing on the default corpus, asserting correct verdicts
@@ -186,7 +206,7 @@ profile:
 	$(GO) run ./cmd/benchtab -json /dev/null -parallel 1 -cpuprofile cpu.prof -memprofile mem.prof
 	@echo "wrote cpu.prof and mem.prof; inspect with: $(GO) tool pprof cpu.prof"
 
-check: build vet test test-race test-differential
+check: fmt build vet test test-race test-differential
 
 clean:
 	$(GO) clean ./...

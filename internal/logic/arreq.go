@@ -14,13 +14,8 @@ func (a AEq) String() string { return fmt.Sprintf("%s = %s", a.L, a.R) }
 // ArrEqF builds the array equality l = r.
 func ArrEqF(l, r Arr) Formula { return AEq{L: l, R: r} }
 
-// substituteAEq, collectAEq etc. are wired into the main switches below via
-// these helpers (kept in one file so array-equality support is easy to audit).
-
-func substituteAEqCase(f AEq, sub map[string]Term, asub map[string]Arr) Formula {
-	return AEq{L: SubstituteArr(f.L, sub, asub), R: SubstituteArr(f.R, sub, asub)}
-}
-
+// freeVarsAEqCase is wired into FreeVars' switch (kept here so array-equality
+// support is easy to audit).
 func freeVarsAEqCase(f AEq, bound, vs, avs map[string]bool) {
 	tv, ta := map[string]bool{}, map[string]bool{}
 	ArrTermVars(f.L, tv, ta)
@@ -37,36 +32,19 @@ func freeVarsAEqCase(f AEq, bound, vs, avs map[string]bool) {
 
 // RewriteArrayEq replaces every array equality L = R in f with
 // ∀k: L[k] = R[k] for a fresh k drawn from nm. It must run before NNF.
+// Subtrees without array equalities are shared with f.
 func RewriteArrayEq(f Formula, nm *Namer) Formula {
-	switch f := f.(type) {
-	case AEq:
-		if ArrEq(f.L, f.R) {
-			return True
+	g, _ := rewriteArrayEq(f, nm)
+	return g
+}
+
+func rewriteArrayEq(f Formula, nm *Namer) (Formula, bool) {
+	if g, ok := f.(AEq); ok {
+		if ArrEq(g.L, g.R) {
+			return True, true
 		}
 		k := nm.Fresh()
-		return Forall{Vars: []string{k}, Body: EqF(Sel(f.L, V(k)), Sel(f.R, V(k)))}
-	case Atom, Bool, Unknown:
-		return f
-	case Not:
-		return Neg(RewriteArrayEq(f.F, nm))
-	case And:
-		out := make([]Formula, len(f.Fs))
-		for i, g := range f.Fs {
-			out[i] = RewriteArrayEq(g, nm)
-		}
-		return Conj(out...)
-	case Or:
-		out := make([]Formula, len(f.Fs))
-		for i, g := range f.Fs {
-			out[i] = RewriteArrayEq(g, nm)
-		}
-		return Disj(out...)
-	case Implies:
-		return Imp(RewriteArrayEq(f.A, nm), RewriteArrayEq(f.B, nm))
-	case Forall:
-		return All(f.Vars, RewriteArrayEq(f.Body, nm))
-	case Exists:
-		return Any(f.Vars, RewriteArrayEq(f.Body, nm))
+		return Forall{Vars: []string{k}, Body: EqF(Sel(g.L, V(k)), Sel(g.R, V(k)))}, true
 	}
-	panic(fmt.Sprintf("logic: unknown formula %T", f))
+	return MapChildren(f, func(h Formula) (Formula, bool) { return rewriteArrayEq(h, nm) })
 }

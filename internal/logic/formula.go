@@ -185,51 +185,63 @@ func GtF(x, y Term) Formula { return Atom{Op: Gt, X: x, Y: y} }
 func GeF(x, y Term) Formula { return Atom{Op: Ge, X: x, Y: y} }
 
 // Conj builds a flattened conjunction, short-circuiting constants.
-func Conj(fs ...Formula) Formula {
-	var out []Formula
-	for _, f := range fs {
-		switch f := f.(type) {
-		case Bool:
-			if !f.Val {
-				return False
-			}
-		case And:
-			out = append(out, f.Fs...)
-		default:
-			out = append(out, f)
-		}
-	}
-	switch len(out) {
-	case 0:
-		return True
-	case 1:
-		return out[0]
-	}
-	return And{Fs: out}
-}
+func Conj(fs ...Formula) Formula { return junction(fs, true) }
 
 // Disj builds a flattened disjunction, short-circuiting constants.
-func Disj(fs ...Formula) Formula {
-	var out []Formula
+func Disj(fs ...Formula) Formula { return junction(fs, false) }
+
+// junction builds the conjunction (isAnd) or disjunction of fs into a fresh
+// slice of exactly the result's size: the absorbing constant short-circuits,
+// the neutral one drops, and operands of the same kind are spliced in (one
+// level deep).
+func junction(fs []Formula, isAnd bool) Formula {
+	n := 0
 	for _, f := range fs {
-		switch f := f.(type) {
-		case Bool:
-			if f.Val {
-				return True
+		if b, ok := f.(Bool); ok {
+			if b.Val != isAnd {
+				return f
 			}
-		case Or:
-			out = append(out, f.Fs...)
-		default:
+			continue
+		}
+		if sub, ok := operandsOf(f, isAnd); ok {
+			n += len(sub)
+		} else {
+			n++
+		}
+	}
+	if n == 0 {
+		return Bool{Val: isAnd}
+	}
+	out := make([]Formula, 0, n)
+	for _, f := range fs {
+		if isBool(f) {
+			continue
+		}
+		if sub, ok := operandsOf(f, isAnd); ok {
+			out = append(out, sub...)
+		} else {
 			out = append(out, f)
 		}
 	}
-	switch len(out) {
-	case 0:
-		return False
-	case 1:
+	switch {
+	case n == 1:
 		return out[0]
+	case isAnd:
+		return And{Fs: out}
 	}
 	return Or{Fs: out}
+}
+
+// operandsOf returns the operands of f when it is an And (isAnd) or an Or
+// (!isAnd).
+func operandsOf(f Formula, isAnd bool) ([]Formula, bool) {
+	switch g := f.(type) {
+	case And:
+		return g.Fs, isAnd
+	case Or:
+		return g.Fs, !isAnd
+	}
+	return nil, false
 }
 
 // Imp builds A ⇒ B, simplifying constant operands.
@@ -291,38 +303,53 @@ func FormulaEq(a, b Formula) bool { return FormulaStructEq(a, b) }
 
 // Substitute replaces free integer variables per sub and free array variables
 // per asub throughout f. Bound variables shadow substitution entries.
+// Subtrees the substitution leaves unchanged are shared with f.
 func Substitute(f Formula, sub map[string]Term, asub map[string]Arr) Formula {
-	switch f := f.(type) {
+	g, _ := substitute(f, sub, asub)
+	return g
+}
+
+func substitute(f Formula, sub map[string]Term, asub map[string]Arr) (Formula, bool) {
+	switch g := f.(type) {
 	case Atom:
-		return Atom{Op: f.Op, X: SubstituteTerm(f.X, sub, asub), Y: SubstituteTerm(f.Y, sub, asub)}
-	case Bool:
-		return f
-	case Not:
-		return Neg(Substitute(f.F, sub, asub))
-	case And:
-		out := make([]Formula, len(f.Fs))
-		for i, g := range f.Fs {
-			out[i] = Substitute(g, sub, asub)
-		}
-		return Conj(out...)
-	case Or:
-		out := make([]Formula, len(f.Fs))
-		for i, g := range f.Fs {
-			out[i] = Substitute(g, sub, asub)
-		}
-		return Disj(out...)
-	case Implies:
-		return Imp(Substitute(f.A, sub, asub), Substitute(f.B, sub, asub))
+		return substAtom(f, g, sub, asub)
 	case Forall:
-		return All(f.Vars, Substitute(f.Body, shadow(sub, f.Vars), asub))
+		body, ch := substitute(g.Body, shadow(sub, g.Vars), asub)
+		if !ch && quantNormal(g.Vars, body) {
+			return f, false
+		}
+		return All(g.Vars, body), true
 	case Exists:
-		return Any(f.Vars, Substitute(f.Body, shadow(sub, f.Vars), asub))
-	case Unknown:
-		return f
+		body, ch := substitute(g.Body, shadow(sub, g.Vars), asub)
+		if !ch && quantNormal(g.Vars, body) {
+			return f, false
+		}
+		return Any(g.Vars, body), true
 	case AEq:
-		return substituteAEqCase(f, sub, asub)
+		return substAEq(f, g, sub, asub)
 	}
-	panic(fmt.Sprintf("logic: unknown formula %T", f))
+	return MapChildren(f, func(h Formula) (Formula, bool) { return substitute(h, sub, asub) })
+}
+
+// substAtom substitutes into both sides of the atom g, which is f unboxed.
+func substAtom(f Formula, g Atom, sub map[string]Term, asub map[string]Arr) (Formula, bool) {
+	x, cx := substTerm(g.X, sub, asub)
+	y, cy := substTerm(g.Y, sub, asub)
+	if !cx && !cy {
+		return f, false
+	}
+	return Atom{Op: g.Op, X: x, Y: y}, true
+}
+
+// substAEq substitutes into both sides of the array equality g, which is f
+// unboxed.
+func substAEq(f Formula, g AEq, sub map[string]Term, asub map[string]Arr) (Formula, bool) {
+	l, cl := substArr(g.L, sub, asub)
+	r, cr := substArr(g.R, sub, asub)
+	if !cl && !cr {
+		return f, false
+	}
+	return AEq{L: l, R: r}, true
 }
 
 // shadow returns sub with the given bound variables removed.

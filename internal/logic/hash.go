@@ -260,25 +260,39 @@ func stringsEq(a, b []string) bool {
 
 // formulaSet is an order-insensitive membership set of formulas keyed by
 // structural hash with structural-equality collision resolution. It replaces
-// String()-keyed dedup maps on hot paths (Simplify, quantifier
-// instantiation) so membership tests never serialize.
+// String()-keyed dedup maps on hot paths (Simplify's wide operand lists) so
+// membership tests never serialize. Each hash maps straight to its first
+// formula; the rare further formulas with the same hash go to collisions.
 type formulaSet struct {
-	buckets map[uint64][]Formula
+	first      map[uint64]Formula
+	collisions map[uint64][]Formula
 }
 
-// add inserts f and reports whether it was absent.
-func (s *formulaSet) add(f Formula) bool {
-	if s.buckets == nil {
-		s.buckets = make(map[uint64][]Formula)
+// add inserts f and reports whether it was absent. sizeHint presizes the set
+// on first use.
+func (s *formulaSet) add(f Formula, sizeHint int) bool {
+	if s.first == nil {
+		s.first = make(map[uint64]Formula, sizeHint)
 	}
 	n := 0
 	h := HashFormula(f, &n)
-	for _, g := range s.buckets[h] {
+	g, ok := s.first[h]
+	if !ok {
+		s.first[h] = f
+		return true
+	}
+	if FormulaStructEq(f, g) {
+		return false
+	}
+	for _, g := range s.collisions[h] {
 		if FormulaStructEq(f, g) {
 			return false
 		}
 	}
-	s.buckets[h] = append(s.buckets[h], f)
+	if s.collisions == nil {
+		s.collisions = make(map[uint64][]Formula)
+	}
+	s.collisions[h] = append(s.collisions[h], f)
 	return true
 }
 

@@ -7,60 +7,76 @@ import (
 
 // NNF converts f (which must be unknown-free) to negation normal form:
 // implications are eliminated, and negations are pushed onto atoms where they
-// are absorbed by flipping the relational operator.
+// are absorbed by flipping the relational operator. Subtrees already in
+// negation normal form are shared with f.
 func NNF(f Formula) Formula {
-	return nnf(f, false)
+	g, _ := nnf(f, false)
+	return g
 }
 
-func nnf(f Formula, negate bool) Formula {
-	switch f := f.(type) {
+// nnfPos is nnf without a pending negation, shaped for MapChildren.
+func nnfPos(f Formula) (Formula, bool) { return nnf(f, false) }
+
+// nnf converts f, negated when negate is set. Only the positive polarity can
+// return f itself; a negated result is always rebuilt.
+func nnf(f Formula, negate bool) (Formula, bool) {
+	switch g := f.(type) {
 	case Atom:
 		if negate {
-			return Atom{Op: f.Op.Negate(), X: f.X, Y: f.Y}
+			return Atom{Op: g.Op.Negate(), X: g.X, Y: g.Y}, true
 		}
-		return f
+		return f, false
 	case Bool:
-		return Bool{Val: f.Val != negate}
+		if negate {
+			return Bool{Val: !g.Val}, true
+		}
+		return f, false
 	case Not:
-		return nnf(f.F, !negate)
+		h, _ := nnf(g.F, !negate)
+		return h, true
 	case And:
-		out := make([]Formula, len(f.Fs))
-		for i, g := range f.Fs {
-			out[i] = nnf(g, negate)
-		}
 		if negate {
-			return Disj(out...)
+			return DisjOwned(nnfNegAll(g.Fs)), true
 		}
-		return Conj(out...)
 	case Or:
-		out := make([]Formula, len(f.Fs))
-		for i, g := range f.Fs {
-			out[i] = nnf(g, negate)
-		}
 		if negate {
-			return Conj(out...)
+			return ConjOwned(nnfNegAll(g.Fs)), true
 		}
-		return Disj(out...)
 	case Implies:
 		// a ⇒ b  ≡  ¬a ∨ b
 		if negate {
-			return Conj(nnf(f.A, false), nnf(f.B, true))
+			a, _ := nnf(g.A, false)
+			b, _ := nnf(g.B, true)
+			return Conj(a, b), true
 		}
-		return Disj(nnf(f.A, true), nnf(f.B, false))
+		a, _ := nnf(g.A, true)
+		b, _ := nnf(g.B, false)
+		return Disj(a, b), true
 	case Forall:
 		if negate {
-			return Any(f.Vars, nnf(f.Body, true))
+			b, _ := nnf(g.Body, true)
+			return Any(g.Vars, b), true
 		}
-		return All(f.Vars, nnf(f.Body, false))
 	case Exists:
 		if negate {
-			return All(f.Vars, nnf(f.Body, true))
+			b, _ := nnf(g.Body, true)
+			return All(g.Vars, b), true
 		}
-		return Any(f.Vars, nnf(f.Body, false))
 	case Unknown:
 		panic("logic: NNF applied to a formula with unresolved unknowns")
+	default:
+		panic(fmt.Sprintf("logic: unknown formula %T", f))
 	}
-	panic(fmt.Sprintf("logic: unknown formula %T", f))
+	return MapChildren(f, nnfPos)
+}
+
+// nnfNegAll converts the negation of each of fs into a fresh slice.
+func nnfNegAll(fs []Formula) []Formula {
+	out := make([]Formula, len(fs))
+	for i, g := range fs {
+		out[i], _ = nnf(g, true)
+	}
+	return out
 }
 
 // Namer hands out fresh variable names with a common prefix.
@@ -80,49 +96,33 @@ func (nm *Namer) Fresh() string {
 
 // StandardizeApart renames every bound variable in f to a fresh name from nm,
 // so that no two quantifiers bind the same name and no bound name collides
-// with a free name. The input must be unknown-free.
+// with a free name. The input must be unknown-free. Quantifiers are always
+// rebuilt; any other subtree the renaming leaves unchanged is shared with f.
 func StandardizeApart(f Formula, nm *Namer) Formula {
-	return standardize(f, nm, map[string]Term{})
+	g, _ := standardize(f, nm, map[string]Term{})
+	return g
 }
 
-func standardize(f Formula, nm *Namer, ren map[string]Term) Formula {
-	switch f := f.(type) {
+func standardize(f Formula, nm *Namer, ren map[string]Term) (Formula, bool) {
+	switch g := f.(type) {
 	case Atom:
-		return Atom{Op: f.Op, X: SubstituteTerm(f.X, ren, nil), Y: SubstituteTerm(f.Y, ren, nil)}
-	case Bool:
-		return f
-	case Not:
-		return Neg(standardize(f.F, nm, ren))
-	case And:
-		out := make([]Formula, len(f.Fs))
-		for i, g := range f.Fs {
-			out[i] = standardize(g, nm, ren)
-		}
-		return Conj(out...)
-	case Or:
-		out := make([]Formula, len(f.Fs))
-		for i, g := range f.Fs {
-			out[i] = standardize(g, nm, ren)
-		}
-		return Disj(out...)
-	case Implies:
-		return Imp(standardize(f.A, nm, ren), standardize(f.B, nm, ren))
+		return substAtom(f, g, ren, nil)
 	case Forall:
-		vars, undo := renameBound(f.Vars, nm, ren)
-		body := standardize(f.Body, nm, ren)
-		undoRename(f.Vars, undo, ren)
-		return All(vars, body)
+		vars, undo := renameBound(g.Vars, nm, ren)
+		body, _ := standardize(g.Body, nm, ren)
+		undoRename(g.Vars, undo, ren)
+		return All(vars, body), true
 	case Exists:
-		vars, undo := renameBound(f.Vars, nm, ren)
-		body := standardize(f.Body, nm, ren)
-		undoRename(f.Vars, undo, ren)
-		return Any(vars, body)
+		vars, undo := renameBound(g.Vars, nm, ren)
+		body, _ := standardize(g.Body, nm, ren)
+		undoRename(g.Vars, undo, ren)
+		return Any(vars, body), true
 	case Unknown:
 		panic("logic: StandardizeApart applied to a formula with unresolved unknowns")
 	case AEq:
-		return AEq{L: SubstituteArr(f.L, ren, nil), R: SubstituteArr(f.R, ren, nil)}
+		return substAEq(f, g, ren, nil)
 	}
-	panic(fmt.Sprintf("logic: unknown formula %T", f))
+	return MapChildren(f, func(h Formula) (Formula, bool) { return standardize(h, nm, ren) })
 }
 
 // renameBound binds each var to a fresh name in ren, in place, returning the
@@ -156,90 +156,132 @@ func undoRename(vars []string, undo []Term, ren map[string]Term) {
 // Simplify performs shallow logical simplification: constant folding,
 // flattening of nested conjunctions/disjunctions, removal of duplicate
 // conjuncts/disjuncts, and evaluation of ground atoms over literals.
+// Subtrees it leaves unchanged are shared with f; Simplify(Simplify(f))
+// returns its argument without allocating.
 func Simplify(f Formula) Formula {
-	switch f := f.(type) {
+	g, _ := simplify(f)
+	return g
+}
+
+func simplify(f Formula) (Formula, bool) {
+	switch g := f.(type) {
 	case Atom:
-		if x, ok := f.X.(IntLit); ok {
-			if y, ok := f.Y.(IntLit); ok {
-				return Bool{Val: evalRel(f.Op, x.Val, y.Val)}
+		if x, ok := g.X.(IntLit); ok {
+			if y, ok := g.Y.(IntLit); ok {
+				return Bool{Val: evalRel(g.Op, x.Val, y.Val)}, true
 			}
 		}
-		if TermEq(f.X, f.Y) {
-			switch f.Op {
+		if TermEq(g.X, g.Y) {
+			switch g.Op {
 			case Eq, Le, Ge:
-				return True
+				return True, true
 			case Neq, Lt, Gt:
-				return False
+				return False, true
 			}
 		}
-		return f
-	case Bool:
-		return f
-	case Not:
-		return Neg(Simplify(f.F))
+		return f, false
 	case And:
-		var out []Formula
-		var seen formulaSet
-		for _, g := range f.Fs {
-			s := Simplify(g)
-			switch s := s.(type) {
-			case Bool:
-				if !s.Val {
-					return False
-				}
-				continue
-			case And:
-				for _, h := range s.Fs {
-					if seen.add(h) {
-						out = append(out, h)
-					}
-				}
-				continue
-			}
-			if seen.add(s) {
-				out = append(out, s)
-			}
-		}
-		return Conj(out...)
+		return simplifyNary(f, g.Fs, true)
 	case Or:
-		var out []Formula
-		var seen formulaSet
-		for _, g := range f.Fs {
-			s := Simplify(g)
-			switch s := s.(type) {
-			case Bool:
-				if s.Val {
-					return True
-				}
-				continue
-			case Or:
-				for _, h := range s.Fs {
-					if seen.add(h) {
-						out = append(out, h)
-					}
-				}
-				continue
-			}
-			if seen.add(s) {
-				out = append(out, s)
-			}
-		}
-		return Disj(out...)
-	case Implies:
-		return Imp(Simplify(f.A), Simplify(f.B))
-	case Forall:
-		return All(f.Vars, Simplify(f.Body))
-	case Exists:
-		return Any(f.Vars, Simplify(f.Body))
-	case Unknown:
-		return f
+		return simplifyNary(f, g.Fs, false)
 	case AEq:
-		if ArrEq(f.L, f.R) {
-			return True
+		if ArrEq(g.L, g.R) {
+			return True, true
 		}
-		return f
+		return f, false
 	}
-	panic(fmt.Sprintf("logic: unknown formula %T", f))
+	return MapChildren(f, simplify)
+}
+
+// dedupLinear is the operand count up to which simplifyNary deduplicates by
+// pairwise structural comparison; past it a hash set takes over.
+const dedupLinear = 8
+
+// simplifyNary simplifies the operands fs of f, a conjunction (isAnd) or a
+// disjunction: the absorbing constant short-circuits, the neutral constant
+// drops, nested operands of the same kind are flattened, and structural
+// duplicates drop (the first occurrence is kept).
+func simplifyNary(f Formula, fs []Formula, isAnd bool) (Formula, bool) {
+	// out stays nil while every operand so far is kept as is; the kept
+	// operands are then fs[:i].
+	var out []Formula
+	var seen formulaSet
+	for i, g := range fs {
+		s, ch := simplify(g)
+		if b, ok := s.(Bool); ok {
+			if b.Val != isAnd {
+				return s, true
+			}
+			if out == nil {
+				out = keptPrefix(fs, i)
+			}
+			continue
+		}
+		if flat, nested := operandsOf(s, isAnd); nested {
+			if out == nil {
+				out = keptPrefix(fs, i)
+			}
+			for _, h := range flat {
+				if keepNew(out, &seen, h, len(fs)) {
+					out = append(out, h)
+				}
+			}
+			continue
+		}
+		if out == nil {
+			isNew := keepNew(fs[:i], &seen, s, len(fs))
+			if isNew && !ch {
+				continue
+			}
+			out = keptPrefix(fs, i)
+			if !isNew {
+				continue
+			}
+		} else if !keepNew(out, &seen, s, len(fs)) {
+			continue
+		}
+		out = append(out, s)
+	}
+	if out == nil {
+		switch len(fs) {
+		case 0:
+			return Bool{Val: isAnd}, true
+		case 1:
+			return fs[0], true
+		}
+		return f, false
+	}
+	if isAnd {
+		return ConjOwned(out), true
+	}
+	return DisjOwned(out), true
+}
+
+// keptPrefix copies the operands kept unchanged so far, fs[:i], into a slice
+// that the remaining operands are appended to.
+func keptPrefix(fs []Formula, i int) []Formula {
+	return append(make([]Formula, 0, len(fs)), fs[:i]...)
+}
+
+// keepNew reports whether f is absent from kept, the operands simplifyNary
+// has kept so far out of n input operands. Short lists are scanned
+// pairwise; once kept reaches dedupLinear, seen indexes every kept operand
+// by hash, so each kept operand must pass through keepNew.
+func keepNew(kept []Formula, seen *formulaSet, f Formula, n int) bool {
+	if seen.first == nil {
+		if len(kept) < dedupLinear {
+			for _, k := range kept {
+				if FormulaStructEq(k, f) {
+					return false
+				}
+			}
+			return true
+		}
+		for _, k := range kept {
+			seen.add(k, n)
+		}
+	}
+	return seen.add(f, n)
 }
 
 func evalRel(op RelOp, x, y int64) bool {

@@ -165,48 +165,93 @@ func TermEq(x, y Term) bool { return TermStructEq(x, y) }
 func ArrEq(x, y Arr) bool { return ArrStructEq(x, y) }
 
 // SubstituteTerm replaces integer variables per sub and array variables per
-// asub throughout t. Missing entries are left unchanged.
+// asub throughout t. Missing entries are left unchanged, and unchanged
+// subterms are shared with t.
 func SubstituteTerm(t Term, sub map[string]Term, asub map[string]Arr) Term {
-	switch t := t.(type) {
-	case Var:
-		if r, ok := sub[t.Name]; ok {
-			return r
-		}
-		return t
-	case IntLit:
-		return t
-	case Add:
-		return Plus(SubstituteTerm(t.X, sub, asub), SubstituteTerm(t.Y, sub, asub))
-	case Sub:
-		return Minus(SubstituteTerm(t.X, sub, asub), SubstituteTerm(t.Y, sub, asub))
-	case Mul:
-		return Times(t.C, SubstituteTerm(t.X, sub, asub))
-	case Select:
-		return Select{A: SubstituteArr(t.A, sub, asub), Idx: SubstituteTerm(t.Idx, sub, asub)}
-	case Apply:
-		args := make([]Term, len(t.Args))
-		for i, a := range t.Args {
-			args[i] = SubstituteTerm(a, sub, asub)
-		}
-		return Apply{F: t.F, Args: args}
-	}
-	panic(fmt.Sprintf("logic: unknown term %T", t))
+	r, _ := substTerm(t, sub, asub)
+	return r
 }
 
 // SubstituteArr replaces variables throughout an array term.
 func SubstituteArr(a Arr, sub map[string]Term, asub map[string]Arr) Arr {
-	switch a := a.(type) {
+	r, _ := substArr(a, sub, asub)
+	return r
+}
+
+// substTerm is SubstituteTerm's structure-sharing form: it returns t itself
+// and false when nothing was replaced and no constructor folds.
+func substTerm(t Term, sub map[string]Term, asub map[string]Arr) (Term, bool) {
+	switch u := t.(type) {
+	case Var:
+		if r, ok := sub[u.Name]; ok {
+			return r, true
+		}
+		return t, false
+	case IntLit:
+		return t, false
+	case Add:
+		x, cx := substTerm(u.X, sub, asub)
+		y, cy := substTerm(u.Y, sub, asub)
+		if !cx && !cy && plusNormal(x, y) {
+			return t, false
+		}
+		return Plus(x, y), true
+	case Sub:
+		x, cx := substTerm(u.X, sub, asub)
+		y, cy := substTerm(u.Y, sub, asub)
+		if !cx && !cy && minusNormal(x, y) {
+			return t, false
+		}
+		return Minus(x, y), true
+	case Mul:
+		x, cx := substTerm(u.X, sub, asub)
+		if !cx && timesNormal(u.C, x) {
+			return t, false
+		}
+		return Times(u.C, x), true
+	case Select:
+		a, ca := substArr(u.A, sub, asub)
+		idx, ci := substTerm(u.Idx, sub, asub)
+		if !ca && !ci {
+			return t, false
+		}
+		return Select{A: a, Idx: idx}, true
+	case Apply:
+		var args []Term
+		for i, a := range u.Args {
+			r, ch := substTerm(a, sub, asub)
+			if ch && args == nil {
+				args = make([]Term, len(u.Args))
+				copy(args, u.Args[:i])
+			}
+			if args != nil {
+				args[i] = r
+			}
+		}
+		if args == nil {
+			return t, false
+		}
+		return Apply{F: u.F, Args: args}, true
+	}
+	panic(fmt.Sprintf("logic: unknown term %T", t))
+}
+
+// substArr is SubstituteArr's structure-sharing form.
+func substArr(a Arr, sub map[string]Term, asub map[string]Arr) (Arr, bool) {
+	switch b := a.(type) {
 	case ArrVar:
-		if r, ok := asub[a.Name]; ok {
-			return r
+		if r, ok := asub[b.Name]; ok {
+			return r, true
 		}
-		return a
+		return a, false
 	case Store:
-		return Store{
-			A:   SubstituteArr(a.A, sub, asub),
-			Idx: SubstituteTerm(a.Idx, sub, asub),
-			Val: SubstituteTerm(a.Val, sub, asub),
+		arr, ca := substArr(b.A, sub, asub)
+		idx, ci := substTerm(b.Idx, sub, asub)
+		val, cv := substTerm(b.Val, sub, asub)
+		if !ca && !ci && !cv {
+			return a, false
 		}
+		return Store{A: arr, Idx: idx, Val: val}, true
 	}
 	panic(fmt.Sprintf("logic: unknown array term %T", a))
 }

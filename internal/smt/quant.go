@@ -28,32 +28,31 @@ import (
 // skolemize replaces every existential variable in the NNF formula f with an
 // application of a fresh function symbol to the universally quantified
 // variables in scope. Plain fresh constants are used when no universals are
-// in scope.
-func skolemize(f logic.Formula, univ []string, nm *logic.Namer) logic.Formula {
-	switch f := f.(type) {
+// in scope. Existential-free subtrees are shared with f.
+func skolemize(f logic.Formula, nm *logic.Namer) logic.Formula {
+	var scope [8]string
+	g, _ := skolemizeIn(f, scope[:0], nm)
+	return g
+}
+
+// skolemizeIn skolemizes f under the universals univ. A quantifier appends
+// its variables to univ for its body only; univ's backing array is scratch
+// space reused by sibling quantifiers, since witnesses copy the names out.
+func skolemizeIn(f logic.Formula, univ []string, nm *logic.Namer) (logic.Formula, bool) {
+	switch g := f.(type) {
 	case logic.Atom, logic.Bool:
-		return f
+		return f, false
 	case logic.Not:
 		// NNF guarantees the operand is an atom; nothing to skolemize.
-		return f
-	case logic.And:
-		out := make([]logic.Formula, len(f.Fs))
-		for i, g := range f.Fs {
-			out[i] = skolemize(g, univ, nm)
-		}
-		return logic.Conj(out...)
-	case logic.Or:
-		out := make([]logic.Formula, len(f.Fs))
-		for i, g := range f.Fs {
-			out[i] = skolemize(g, univ, nm)
-		}
-		return logic.Disj(out...)
+		return f, false
+	case logic.And, logic.Or:
+		return logic.MapChildren(f, func(h logic.Formula) (logic.Formula, bool) { return skolemizeIn(h, univ, nm) })
 	case logic.Forall:
-		u2 := append(append([]string(nil), univ...), f.Vars...)
-		return logic.All(f.Vars, skolemize(f.Body, u2, nm))
+		inner := append(univ, g.Vars...)
+		return logic.MapChildren(f, func(h logic.Formula) (logic.Formula, bool) { return skolemizeIn(h, inner, nm) })
 	case logic.Exists:
-		sub := map[string]logic.Term{}
-		for _, x := range f.Vars {
+		sub := make(map[string]logic.Term, len(g.Vars))
+		for _, x := range g.Vars {
 			if len(univ) == 0 {
 				sub[x] = logic.V(nm.Fresh())
 			} else {
@@ -64,7 +63,8 @@ func skolemize(f logic.Formula, univ []string, nm *logic.Namer) logic.Formula {
 				sub[x] = logic.App(nm.Fresh(), args...)
 			}
 		}
-		return skolemize(logic.Substitute(f.Body, sub, nil), univ, nm)
+		h, _ := skolemizeIn(logic.Substitute(g.Body, sub, nil), univ, nm)
+		return h, true
 	}
 	panic(fmt.Sprintf("smt: unexpected formula in skolemize: %T", f))
 }
@@ -538,34 +538,24 @@ func (env *instEnv) candidatesFor(v string, trigs map[string][]trigger) []logic.
 
 // instantiate replaces every universal in the skolemized NNF formula with
 // the conjunction of its body over tuples of candidate terms, bounded by
-// maxInstances per quantifier.
-func instantiate(f logic.Formula, env *instEnv) logic.Formula {
-	switch f := f.(type) {
+// maxInstances per quantifier. Quantifier-free subtrees are shared with f.
+func (env *instEnv) instantiate(f logic.Formula) (logic.Formula, bool) {
+	switch g := f.(type) {
 	case logic.Atom, logic.Bool, logic.Not:
-		return f
-	case logic.And:
-		out := make([]logic.Formula, len(f.Fs))
-		for i, g := range f.Fs {
-			out[i] = instantiate(g, env)
-		}
-		return logic.Conj(out...)
-	case logic.Or:
-		out := make([]logic.Formula, len(f.Fs))
-		for i, g := range f.Fs {
-			out[i] = instantiate(g, env)
-		}
-		return logic.Disj(out...)
+		return f, false
+	case logic.And, logic.Or:
+		return logic.MapChildren(f, env.instantiate)
 	case logic.Forall:
-		k := len(f.Vars)
+		k := len(g.Vars)
 		var trigs map[string][]trigger
 		if env.triggers != nil {
-			trigs = env.triggers(f)
+			trigs = env.triggers(g)
 		} else {
-			trigs = triggersOf(f.Body, f.Vars)
+			trigs = triggersOf(g.Body, g.Vars)
 		}
 		cands := make([][]logic.Term, k)
 		total := 1
-		for i, v := range f.Vars {
+		for i, v := range g.Vars {
 			cands[i] = env.candidatesFor(v, trigs)
 			total *= len(cands[i])
 		}
@@ -583,7 +573,7 @@ func instantiate(f logic.Formula, env *instEnv) logic.Formula {
 			total = total / len(cands[maxI]) * (len(cands[maxI]) - 1)
 			cands[maxI] = cands[maxI][:len(cands[maxI])-1]
 		}
-		var out []logic.Formula
+		out := make([]logic.Formula, 0, total)
 		tuple := make([]logic.Term, k)
 		// One substitution map per quantifier, overwritten per tuple:
 		// Substitute only reads it, so reuse is safe and saves a map
@@ -592,11 +582,11 @@ func instantiate(f logic.Formula, env *instEnv) logic.Formula {
 		var gen func(int)
 		gen = func(i int) {
 			if i == k {
-				for j, v := range f.Vars {
+				for j, v := range g.Vars {
 					sub[v] = tuple[j]
 				}
-				inst := logic.Substitute(f.Body, sub, nil)
-				out = append(out, instantiate(inst, env))
+				inst, _ := env.instantiate(logic.Substitute(g.Body, sub, nil))
+				out = append(out, inst)
 				return
 			}
 			for _, t := range cands[i] {
@@ -605,7 +595,7 @@ func instantiate(f logic.Formula, env *instEnv) logic.Formula {
 			}
 		}
 		gen(0)
-		return logic.Conj(out...)
+		return logic.ConjOwned(out), true
 	case logic.Exists:
 		panic("smt: existential survived skolemization")
 	}

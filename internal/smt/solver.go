@@ -311,7 +311,7 @@ func normalizeForSolving(f logic.Formula) logic.Formula {
 	}
 	f = logic.NNF(f)
 	f = logic.StandardizeApart(f, logic.NewNamer("@b"))
-	return skolemize(f, nil, logic.NewNamer("@sk"))
+	return skolemize(f, logic.NewNamer("@sk"))
 }
 
 // Satisfiable reports whether f has a model, modulo bounded quantifier
@@ -363,7 +363,7 @@ func (s *Solver) groundForm(n *logic.IFormula) (ground logic.Formula, done, v bo
 				break
 			}
 			prev = env
-			ground = instantiate(f, env)
+			ground, _ = env.instantiate(f)
 		}
 		ground = logic.Simplify(ground)
 	}

@@ -104,8 +104,7 @@ func buildBloom(keys map[string]struct{}) string {
 			bits[bit/8] |= 1 << (bit % 8)
 		}
 	}
-	return fmt.Sprintf("b1:%d:%d:%s", bloomProbes, mbits,
-		base64.RawURLEncoding.EncodeToString(bits))
+	return (&BloomDigest{probes: bloomProbes, mbits: mbits, bits: bits}).String()
 }
 
 // bloomHashes derives the double-hashing pair for a key: FNV-1a 64 and an
@@ -148,7 +147,22 @@ func ParseBloomDigest(s string) (*BloomDigest, error) {
 	if err != nil || uint64(len(bits)) != mbits/8 {
 		return nil, fmt.Errorf("store: bad digest bits")
 	}
-	return &BloomDigest{probes: k, mbits: mbits, bits: bits}, nil
+	d := &BloomDigest{probes: k, mbits: mbits, bits: bits}
+	// Only the canonical rendering parses (no leading zeros, no stray
+	// base64 padding bits), so a digest has exactly one wire form.
+	if d.String() != s {
+		return nil, fmt.Errorf("store: non-canonical digest")
+	}
+	return d, nil
+}
+
+// String renders the digest in its wire form; a nil digest renders as "",
+// the digest that claims nothing.
+func (d *BloomDigest) String() string {
+	if d == nil {
+		return ""
+	}
+	return fmt.Sprintf("b1:%d:%d:%s", d.probes, d.mbits, base64.RawURLEncoding.EncodeToString(d.bits))
 }
 
 // Contains reports whether the digest claims the key. A nil digest claims

@@ -24,9 +24,10 @@ var errCompactClosed = fmt.Errorf("store: compact: store closed")
 // knowledge.log.tmp is written with a fresh {version, params} header, fsynced,
 // and atomically renamed over knowledge.log (after re-checking that the old
 // generation's header still matches this store's version and params). It runs
-// concurrently with serving — appends land in the write-behind queue during
-// the rewrite and are flushed onto the new generation afterwards — and a
-// crash at any point leaves either generation loadable. It returns the log
+// concurrently with serving — records flushed onto the old generation during
+// the rewrite are carried over to the new one at the swap, and records still
+// queued then are flushed onto the new generation afterwards — and a crash
+// at any point leaves either generation loadable. It returns the log
 // bytes reclaimed.
 func (s *Store) Compact() (reclaimed int64, err error) {
 	if s == nil {
@@ -64,6 +65,15 @@ func (s *Store) Compact() (reclaimed int64, err error) {
 	// snapshot itself: the in-memory lemma/core slices may hold duplicates
 	// re-learned across lifetimes (append-time dedup is per-lifetime), and
 	// the new generation is where they collapse.
+	//
+	// The old generation's length is noted first. A record is added to the
+	// in-memory maps before it is queued, so a record the snapshot misses
+	// was queued after this point; if a flush writes it to the old
+	// generation before the swap below, it lies at or beyond snapAt, and
+	// the swap carries those bytes over.
+	s.qmu.Lock()
+	snapAt := s.logBytes
+	s.qmu.Unlock()
 	buf := s.encodeLiveSet()
 
 	// Re-check the old generation's header before replacing it: if the
@@ -94,6 +104,11 @@ func (s *Store) Compact() (reclaimed int64, err error) {
 		return 0, errCompactClosed
 	}
 	oldBytes := s.logBytes
+	tailBytes, terr := appendTail(tmp, path, snapAt, oldBytes)
+	if terr != nil {
+		os.Remove(tmp)
+		return 0, fmt.Errorf("carry flushed records over to %s: %w", tmp, terr)
+	}
 	if rerr := os.Rename(tmp, path); rerr != nil {
 		os.Remove(tmp)
 		return 0, fmt.Errorf("rename: %w", rerr)
@@ -112,7 +127,7 @@ func (s *Store) Compact() (reclaimed int64, err error) {
 		// fatal for this lifetime's writes and drop the handle swap.
 		return 0, fmt.Errorf("reopen new generation: %w", oerr)
 	}
-	newBytes := int64(len(buf))
+	newBytes := int64(len(buf)) + tailBytes
 	if _, serr := f.Seek(newBytes, 0); serr != nil {
 		f.Close()
 		return 0, fmt.Errorf("seek new generation: %w", serr)
@@ -247,8 +262,8 @@ func cutNul(k string) (before, after string, ok bool) {
 	return k, "", false
 }
 
-// checkHeader decodes the first line of path and verifies it is a version-
-// and params-matching store header.
+// checkHeader verifies that the first line of path is a version- and
+// params-matching store header.
 func checkHeader(path, params string) error {
 	f, err := os.Open(path)
 	if err != nil {
@@ -260,17 +275,40 @@ func checkHeader(path, params string) error {
 	if err != nil {
 		return fmt.Errorf("read header line: %w", err)
 	}
-	rec, ok := decode(bytes.TrimSuffix(line, []byte("\n")))
-	if !ok || rec.T != "hdr" {
-		return fmt.Errorf("not a store header")
+	return checkHeaderLine(bytes.TrimSuffix(line, []byte("\n")), params)
+}
+
+// appendTail copies bytes [from, to) of the old generation at path — whole
+// records flushed there after the live-set snapshot — onto the end of the
+// next generation at tmp, fsyncs it, and returns the bytes copied. Records
+// that were in the snapshot too load as duplicates, which replay ignores.
+func appendTail(tmp, path string, from, to int64) (int64, error) {
+	if to <= from {
+		return 0, nil
 	}
-	if rec.Version != version {
-		return fmt.Errorf("version %d (want %d)", rec.Version, version)
+	src, err := os.Open(path)
+	if err != nil {
+		return 0, err
 	}
-	if rec.Params != params {
-		return fmt.Errorf("params mismatch")
+	tail := make([]byte, to-from)
+	_, err = src.ReadAt(tail, from)
+	src.Close()
+	if err != nil {
+		return 0, err
 	}
-	return nil
+	dst, err := os.OpenFile(tmp, os.O_WRONLY|os.O_APPEND, 0o644)
+	if err != nil {
+		return 0, err
+	}
+	if _, err := dst.Write(tail); err != nil {
+		dst.Close()
+		return 0, err
+	}
+	if err := dst.Sync(); err != nil {
+		dst.Close()
+		return 0, err
+	}
+	return int64(len(tail)), dst.Close()
 }
 
 // writeFileSync writes buf to path (truncating) and fsyncs it.

@@ -188,6 +188,42 @@ func TestCompactConcurrentWithAppends(t *testing.T) {
 	noCorrupt(t, dir)
 }
 
+// TestCompactKeepsRecordsFlushedDuringRewrite pins the window behind the
+// concurrent-append losses deterministically: records appended after the
+// live-set snapshot and flushed onto the old generation before the swap are
+// in neither the snapshot nor the queue, so the swap must carry them over.
+func TestCompactKeepsRecordsFlushedDuringRewrite(t *testing.T) {
+	dir := t.TempDir()
+	s := openT(t, dir, "p")
+	check := fillT(t, s, 10)
+	s.compactHook = func(at string) bool {
+		if at == stageTmpWritten {
+			s.AppendVerdict("late-verdict", true)
+			s.AppendOutcome("late-problem", "optimal", []byte(`{"proved":true}`))
+			if err := s.Flush(); err != nil {
+				t.Errorf("Flush: %v", err)
+			}
+		}
+		return false
+	}
+	if _, err := s.Compact(); err != nil {
+		t.Fatalf("Compact: %v", err)
+	}
+	if err := s.Close(); err != nil {
+		t.Fatal(err)
+	}
+	r := openT(t, dir, "p")
+	defer r.Close()
+	check(t, r)
+	if _, ok := r.Verdict("late-verdict"); !ok {
+		t.Fatal("verdict flushed during the rewrite lost across compaction")
+	}
+	if _, ok := r.Outcome("late-problem", "optimal"); !ok {
+		t.Fatal("outcome flushed during the rewrite lost across compaction")
+	}
+	noCorrupt(t, dir)
+}
+
 // TestCompactCrashRecovery injects a crash at every compaction stage (via the
 // compactHook seam, which aborts leaving exactly the on-disk state a kill
 // there would) and asserts the store reloads cleanly — full content, no

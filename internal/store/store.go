@@ -29,6 +29,7 @@ package store
 import (
 	"bytes"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"hash/crc32"
 	"os"
@@ -385,28 +386,19 @@ func (s *Store) load() (goodBytes int64, freshHeader bool) {
 			break
 		}
 		line := rest[:nl]
-		rec, ok := decode(line)
-		if !ok {
-			if first {
-				return sideline("corrupt header record")
-			}
-			s.logf("store: truncating corrupt record at offset %d of %s", off, path)
-			break
-		}
 		if first {
-			if rec.T != "hdr" {
-				return sideline("missing header record")
-			}
-			if rec.Version != version {
-				return sideline(fmt.Sprintf("version %d (want %d)", rec.Version, version))
-			}
-			if rec.Params != s.opts.Params {
-				return sideline("solver params changed since the store was written")
+			if err := checkHeaderLine(line, s.opts.Params); err != nil {
+				return sideline(err.Error())
 			}
 			first = false
 			s.st.LiveBytes += int64(nl) + 1
 			off += int64(nl) + 1
 			continue
+		}
+		rec, ok := decode(line)
+		if !ok {
+			s.logf("store: truncating corrupt record at offset %d of %s", off, path)
+			break
 		}
 		if s.replay(rec, loadSeen) {
 			s.st.LiveBytes += int64(nl) + 1
@@ -525,6 +517,23 @@ func decode(line []byte) (record, bool) {
 		return rec, false
 	}
 	return rec, true
+}
+
+// checkHeaderLine verifies that line (without trailing newline) is a store
+// header record for this version and these solver params.
+func checkHeaderLine(line []byte, params string) error {
+	rec, ok := decode(line)
+	switch {
+	case !ok:
+		return errors.New("corrupt header record")
+	case rec.T != "hdr":
+		return errors.New("missing header record")
+	case rec.Version != version:
+		return fmt.Errorf("version %d (want %d)", rec.Version, version)
+	case rec.Params != params:
+		return errors.New("solver params changed since the store was written")
+	}
+	return nil
 }
 
 func lemmaKey(skel string, lem Lemma) string {
