@@ -2,19 +2,15 @@
 # vet, the default test suite, and a short race-detector pass over every package
 # (exercising the interner's and the parallel engine's concurrency claims).
 # `make test-short` is the <60s developer loop; `make bench` runs the
-# engine microbenchmarks; `make bench-json` writes a machine-readable
-# BENCH_$(BENCH_N).json report; `make profile` captures CPU/heap profiles
-# of the default benchmark suite.
+# engine microbenchmarks; `make profile` captures CPU/heap profiles of the
+# default benchmark suite. The benchmark gates (TestLIABench, TestWarmBench,
+# TestClusterBench, TestCompactBench) are plain tests that `make test` runs;
+# only the wall-clock hedging gate needs its own target, `make bench-rpc`.
+# Performance over time is measured by perfbench (perfbench/README.md).
 
 GO ?= go
 
-# Report number for bench-json output (BENCH_2.json, BENCH_3.json, ...).
-BENCH_N ?= 4
-
-# Baseline report that bench-compare diffs against.
-BENCH_BASE ?= BENCH_3.json
-
-.PHONY: all fmt build vet test test-short test-race test-differential serve-smoke cluster-smoke rpc-smoke restart-smoke compact-smoke fuzz-rpc fuzz-store bench-cluster bench-lia bench-warm bench-rpc bench-compact bench bench-json bench-compare bench-quick profile check clean
+.PHONY: all fmt build vet test test-short test-race test-differential serve-smoke cluster-smoke rpc-smoke restart-smoke compact-smoke fuzz-rpc fuzz-store fuzz-spec perfbench-check bench-rpc bench bench-quick profile check clean
 
 all: check
 
@@ -74,7 +70,7 @@ test-differential:
 	$(GO) test -race -run 'TestRandomGeneralAgainstBox|TestRandomDifferenceAgainstBox|TestLinChecker|TestDiffChecker' ./internal/lia/
 	$(GO) test -race -run 'TestRoundTrip|TestLinCheckerVerdict|TestFormulaKey|TestCorruption|TestDedup|TestFlushDurable|TestFlushRequeues|TestFlushRetryBudget|TestFlushPartialWrite|TestDropWarning|TestCompact|TestOutcomeDigest' ./internal/store/
 	$(GO) test -race -run 'TestWarmStart|TestStoreParamsMismatch|TestWarmLemma' ./internal/smt/
-	$(GO) test -run 'TestMapVsBFS|TestCompareParallel|TestWarmVsCold|TestWarmVsCompacted' ./internal/optimal/ ./internal/bench/ ./internal/precond/
+	$(GO) test -run 'TestMapVsBFS|TestWarmVsCold|TestWarmVsCompacted' ./internal/optimal/ ./internal/bench/ ./internal/precond/
 
 # End-to-end check of the vs3d HTTP daemon: boots the real server on an
 # ephemeral port, verifies a spec with all three methods, infers
@@ -131,48 +127,26 @@ fuzz-store:
 	$(GO) test -run '^$$' -fuzz '^FuzzCheckHeaderLine$$' -fuzztime=10s ./internal/store/
 	$(GO) test -run '^$$' -fuzz '^FuzzParseBloomDigest$$' -fuzztime=10s ./internal/store/
 
-# Routing benchmark (first run for PR 6): a single node and 2 backends
-# behind affinity routing on the default corpus, asserting correct verdicts
-# on both arms. Writes BENCH_6.json; the committed copy also records the
-# retired random-routing control arm.
-bench-cluster:
-	VS3_BENCH_OUT=$(CURDIR)/BENCH_6.json $(GO) test -run TestClusterBench -count=1 -v ./cmd/vs3router/
+# Short fuzz budget for the spec parser, the one decoder that reads request
+# bodies: parsing plus validation (what vs3d runs on every request) may not
+# panic on any input, and every parsed formula without a template unknown
+# must survive a print-and-parse round trip. The seed corpus is committed
+# under internal/lang/testdata/fuzz/.
+fuzz-spec:
+	$(GO) test -run '^$$' -fuzz '^FuzzParseSpecFile$$' -fuzztime=10s ./internal/lang/
+	$(GO) test -run '^$$' -fuzz '^FuzzParseFormula$$' -fuzztime=10s ./internal/lang/
 
-# Incremental-FM benchmark (the tentpole proof for PR 7): the persistent
-# general-LIA checker (LinChecker) vs from-scratch Fourier–Motzkin
-# elimination on the non-unit-coefficient family, asserting identical
-# verdicts per cell and a >=3x reduction in from-scratch eliminations.
-# Writes BENCH_7.json.
-bench-lia:
-	VS3_BENCH_OUT=$(CURDIR)/BENCH_7.json $(GO) test -run TestLIABench -count=1 -v ./internal/bench/
+# Vet and test the benchmark module (perfbench/, its own go.mod), which
+# imports internal/bench.
+perfbench-check:
+	cd perfbench && $(GO) vet ./... && $(GO) test ./...
 
-# Warm-restart benchmark (the tentpole proof for PR 8): the default suite run
-# cold on a fresh knowledge store, then again reopening it — a daemon
-# restart. Asserts identical verdicts per cell and a >=5x reduction in
-# from-scratch work (SMT queries + Fourier–Motzkin eliminations); the
-# committed BENCH_8.json doubles as the regression baseline (the warm arm
-# must stay within 2x of its recorded work) and is rewritten on success.
-bench-warm:
-	VS3_BENCH_BASE=$(CURDIR)/BENCH_8.json VS3_BENCH_OUT=$(CURDIR)/BENCH_8.json $(GO) test -run TestWarmBench -count=1 -v ./internal/bench/
-
-# Hedging benchmark (first run for PR 9): hedged vs unhedged routing over a
-# store-backed 2-backend fleet with one stalled backend, asserting hedging
-# wins p99 with identical verdicts across the corpus. The gate is a
-# wall-clock comparison, so the test skips under plain `go test ./...` and
-# only runs here. Writes BENCH_9.json (`benchtab -table 9` renders it); the
-# committed copy also records the retired HTTP-vs-VS3R transport arms.
+# Hedging gate: hedged vs unhedged routing over a store-backed 2-backend
+# fleet with one stalled backend, asserting hedging wins p99 with identical
+# verdicts across the corpus. The gate is a wall-clock comparison, so the
+# test skips under plain `go test ./...` and only runs with -wallclock.
 bench-rpc:
-	VS3_BENCH_OUT=$(CURDIR)/BENCH_9.json $(GO) test -run TestRPCBench -count=1 -v ./cmd/vs3router/
-
-# Compaction + store-aware routing benchmark (the tentpole proof for PR 10):
-# part A duplicates a warmed store's log 6x and gates a >=3x on-disk shrink
-# from compaction with a zero-work warm restart; part B reweights a warmed
-# 2-backend fleet's hash ring and replays the corpus store-aware vs
-# affinity-only over byte-identical store copies, gating that store-aware
-# placement redoes strictly less from-scratch work at identical verdicts.
-# Writes BENCH_10.json (`benchtab -table 10` renders the committed report).
-bench-compact:
-	VS3_BENCH_OUT=$(CURDIR)/BENCH_10.json $(GO) test -run TestCompactBench -count=1 -v ./cmd/vs3router/
+	$(GO) test -run '^TestRPCBench$$' -count=1 -v ./cmd/vs3router/ -args -wallclock
 
 # Engine microbenchmarks: the parallel-engine comparisons from PR 1 plus the
 # interning/hot-path benchmarks (cache-hit keying, structural equality,
@@ -184,26 +158,15 @@ bench:
 	$(GO) test -bench 'ValidCacheHit' -run - ./internal/smt/
 	$(GO) test -bench 'Fill|NegativeSolutions' -run - ./internal/optimal/ ./internal/template/
 
-# Machine-readable benchmark report: runs the default representative suite
-# and writes BENCH_$(BENCH_N).json (per-cell wall time, SMT queries, cache
-# hits) for tracking the perf trajectory across PRs.
-bench-json:
-	$(GO) run ./cmd/benchtab -json BENCH_$(BENCH_N).json
-
-# Re-run the default suite and print a per-cell speedup table against the
-# baseline report (set BENCH_BASE to diff against another BENCH_N.json).
-bench-compare:
-	$(GO) run ./cmd/benchtab -compare $(BENCH_BASE)
-
 # Fast local sanity: one task (List Delete) across all three methods — one
 # cell per algorithm, a few seconds end to end.
 bench-quick:
-	$(GO) run ./cmd/benchtab -quick
+	$(GO) run ./cmd/benchtab -suite quick
 
 # CPU/heap profiles of the default suite (sequential, so the profile is not
 # dominated by scheduler noise). Inspect with `go tool pprof cpu.prof`.
 profile:
-	$(GO) run ./cmd/benchtab -json /dev/null -parallel 1 -cpuprofile cpu.prof -memprofile mem.prof
+	$(GO) run ./cmd/benchtab -suite default -parallel 1 -cpuprofile cpu.prof -memprofile mem.prof
 	@echo "wrote cpu.prof and mem.prof; inspect with: $(GO) tool pprof cpu.prof"
 
 check: fmt build vet test test-race test-differential

@@ -3,31 +3,27 @@
 //
 // Usage:
 //
-//	benchtab [-table 1|2|3|4|5|6|7|8|9|10] [-figure 4|5|6|7|8|9] [-timeout 120s] [-all] [-parallel N]
-//	         [-json FILE] [-compare OLD.json] [-cpuprofile FILE] [-memprofile FILE] [-quick]
+//	benchtab [-table 1|2|3|4|5|6|7] [-figure 4|5|6|7|8|9] [-suite default|quick] [-timeout 120s] [-all]
+//	         [-parallel N] [-junk 10,20,30] [-cpuprofile FILE] [-memprofile FILE]
 //
 // With -parallel N > 1 the (task, method) cells of each table run
 // concurrently on N workers (default: the number of CPUs); the printed
 // tables are identical to a sequential run, and a trailing line reports the
 // achieved wall-clock speedup (sum of per-cell times / elapsed).
 //
-// -json FILE runs the default representative suite and writes a
-// machine-readable report (wall time plus per-cell timings and SMT
-// query/cache-hit counters) to FILE — the BENCH_N.json format tracked by
-// `make bench-json`. -compare OLD.json runs the same suite and prints a
-// per-cell speedup table against a previous report instead of (or in
-// addition to) writing one. -cpuprofile/-memprofile write runtime/pprof
-// profiles covering whatever work the other flags request.
+// -suite runs a fixed task list outside the paper's tables and prints one
+// row per cell (time, SMT queries, context probes, Fourier–Motzkin
+// eliminations): "default" is the representative suite `make profile`
+// profiles, "quick" the one-task sanity run behind `make bench-quick`. -cpuprofile/-memprofile write
+// runtime/pprof profiles covering whatever work the other flags request.
 //
 // Figures 4 and 6–9 are histograms over the statistics collected while the
 // requested tables run; asking for them alone runs the Table 4 suite to
-// populate the collector. Figure 5 runs the robustness sweep (slow).
+// populate the collector. Figure 5 runs the robustness sweep (slow) over
+// the -junk predicate counts.
 package main
 
 import (
-	"bytes"
-	"encoding/json"
-	"errors"
 	"flag"
 	"fmt"
 	"io"
@@ -35,6 +31,8 @@ import (
 	"runtime"
 	"runtime/debug"
 	"runtime/pprof"
+	"strconv"
+	"strings"
 	"time"
 
 	"repro/internal/bench"
@@ -42,18 +40,37 @@ import (
 )
 
 func main() {
-	table := flag.Int("table", 0, "regenerate one table (1-10; 7 is the general-LIA family, 8 the warm-restart comparison, 9 the rpc transport report, 10 the compaction and store-aware routing report)")
+	table := flag.Int("table", 0, "regenerate one table (1-7; 7 is the general-LIA family)")
 	figure := flag.Int("figure", 0, "regenerate one figure (4-9)")
+	suite := flag.String("suite", "", "run a task suite and print one row per cell: default or quick")
 	timeout := flag.Duration("timeout", 120*time.Second, "per-(task,method) timeout")
 	all := flag.Bool("all", false, "regenerate every table and figure")
 	junk := flag.String("junk", "10,20,30", "comma-separated junk-predicate counts for figure 5")
 	parallel := flag.Int("parallel", runtime.GOMAXPROCS(0), "number of (task,method) cells run concurrently (1 = sequential)")
-	jsonOut := flag.String("json", "", "run the default suite and write a JSON report (BENCH_N.json format) to this file")
-	compare := flag.String("compare", "", "run the default suite and print a per-cell speedup table against this previous -json report")
 	cpuprofile := flag.String("cpuprofile", "", "write a CPU profile of the run to this file")
 	memprofile := flag.String("memprofile", "", "write a heap profile at exit to this file")
-	quick := flag.Bool("quick", false, "run the one-task quick suite (one cell per method) and print its report")
 	flag.Parse()
+
+	counts, err := parseCounts(*junk)
+	if err != nil {
+		fmt.Fprintf(os.Stderr, "benchtab: -junk: %v\n", err)
+		os.Exit(2)
+	}
+	var tasks []bench.Task
+	switch *suite {
+	case "":
+	case "default":
+		tasks = bench.DefaultSuite()
+	case "quick":
+		tasks = bench.QuickSuite()
+	default:
+		fmt.Fprintf(os.Stderr, "benchtab: no suite %q (want default or quick)\n", *suite)
+		os.Exit(2)
+	}
+	if *table == 0 && *figure == 0 && tasks == nil && !*all {
+		fmt.Fprintln(os.Stderr, "benchtab: pass -table N, -figure N, -suite NAME, or -all")
+		os.Exit(2)
+	}
 
 	// The searches churn short-lived formulas and candidate fills; at the
 	// default GOGC=100 a benchmark run spends roughly a quarter of its wall
@@ -106,60 +123,9 @@ func main() {
 		}
 	}()
 
-	if *quick {
-		if err := bench.RunJSON(w, r, "quick", bench.QuickSuite()); err != nil {
-			fmt.Fprintf(os.Stderr, "benchtab: %v\n", err)
-			os.Exit(1)
-		}
-		return
+	if tasks != nil {
+		bench.SuiteTable(w, r, *suite, tasks)
 	}
-
-	if *jsonOut != "" || *compare != "" {
-		var old *bench.Report
-		if *compare != "" {
-			var err error
-			old, err = bench.ReadReport(*compare)
-			if errors.Is(err, os.ErrNotExist) {
-				// A missing baseline is the normal first-run state, not a
-				// failure: run the suite anyway and say how to record one.
-				fmt.Fprintf(os.Stderr, "benchtab: no baseline at %s — nothing to compare against yet\n", *compare)
-				fmt.Fprintf(os.Stderr, "benchtab: record one with `benchtab -json %s` (or `make bench-json`), then rerun -compare\n", *compare)
-				old = nil
-			} else if err != nil {
-				fmt.Fprintf(os.Stderr, "benchtab: %v\n", err)
-				os.Exit(1)
-			}
-		}
-		// With no baseline and no -json sink the suite run would print
-		// nothing useful, so skip it.
-		runSuite := *jsonOut != "" || old != nil
-		if runSuite {
-			var buf bytes.Buffer
-			if err := bench.RunJSON(&buf, r, "default", bench.DefaultSuite()); err != nil {
-				fmt.Fprintf(os.Stderr, "benchtab: %v\n", err)
-				os.Exit(1)
-			}
-			if *jsonOut != "" {
-				if err := os.WriteFile(*jsonOut, buf.Bytes(), 0o644); err != nil {
-					fmt.Fprintf(os.Stderr, "benchtab: %v\n", err)
-					os.Exit(1)
-				}
-				fmt.Fprintf(w, "wrote %s\n", *jsonOut)
-			}
-			if old != nil {
-				var new bench.Report
-				if err := json.Unmarshal(buf.Bytes(), &new); err != nil {
-					fmt.Fprintf(os.Stderr, "benchtab: %v\n", err)
-					os.Exit(1)
-				}
-				bench.WriteComparison(w, old, &new)
-			}
-		}
-		if *table == 0 && *figure == 0 && !*all {
-			return
-		}
-	}
-
 	if *all {
 		runTable(w, r, 1)
 		runTable(w, r, 2)
@@ -168,7 +134,7 @@ func main() {
 		runTable(w, r, 6)
 		runTable(w, r, 7)
 		bench.Figure4(w, c)
-		runFigure(w, r, c, 5, *junk)
+		runFigure(w, r, c, 5, counts)
 		bench.Figure6(w, c)
 		bench.Figure7(w, c)
 		bench.Figure8(w, c)
@@ -183,11 +149,7 @@ func main() {
 			// Populate the collector with a representative run.
 			bench.Table4(io.Discard, r)
 		}
-		runFigure(w, r, c, *figure, *junk)
-	}
-	if *table == 0 && *figure == 0 {
-		fmt.Fprintln(os.Stderr, "benchtab: pass -table N, -figure N, -json FILE, or -all")
-		os.Exit(2)
+		runFigure(w, r, c, *figure, counts)
 	}
 }
 
@@ -205,61 +167,17 @@ func runTable(w io.Writer, r *bench.Runner, n int) {
 		bench.Table6(w, r)
 	case 7:
 		bench.Table7(w, r)
-	case 8:
-		// Warm-restart comparison: the default suite cold on a fresh
-		// knowledge store, then again reopening it. The store lives in a
-		// throwaway directory — Table 8 measures the restart saving, not a
-		// particular store's contents.
-		dir, err := os.MkdirTemp("", "vs3-warm-bench-")
-		if err != nil {
-			fmt.Fprintf(os.Stderr, "benchtab: %v\n", err)
-			os.Exit(1)
-		}
-		defer os.RemoveAll(dir)
-		rep, err := bench.RunWarmBench(dir, "default", r.Timeout, r.Parallel, bench.DefaultSuite())
-		if err != nil {
-			fmt.Fprintf(os.Stderr, "benchtab: %v\n", err)
-			os.Exit(1)
-		}
-		bench.WriteWarmTable(w, rep)
-	case 9:
-		// Binary rpc transport comparison: rendered from the committed
-		// BENCH_9.json rather than re-run — the measurement needs a live
-		// multi-daemon fleet, which `make bench-rpc` boots and gates.
-		rep, err := bench.ReadBench9("BENCH_9.json")
-		if err != nil {
-			fmt.Fprintf(os.Stderr, "benchtab: %v (generate it with `make bench-rpc`)\n", err)
-			os.Exit(1)
-		}
-		bench.WriteBench9Table(w, rep)
-	case 10:
-		// Log compaction + store-aware routing: rendered from the committed
-		// BENCH_10.json (`make bench-compact` boots the fleet and gates it).
-		rep, err := bench.ReadBench10("BENCH_10.json")
-		if err != nil {
-			fmt.Fprintf(os.Stderr, "benchtab: %v (generate it with `make bench-compact`)\n", err)
-			os.Exit(1)
-		}
-		bench.WriteBench10Table(w, rep)
 	default:
 		fmt.Fprintf(os.Stderr, "benchtab: no table %d\n", n)
 		os.Exit(2)
 	}
 }
 
-func runFigure(w io.Writer, r *bench.Runner, c *stats.Collector, n int, junk string) {
+func runFigure(w io.Writer, r *bench.Runner, c *stats.Collector, n int, counts []int) {
 	switch n {
 	case 4:
 		bench.Figure4(w, c)
 	case 5:
-		var counts []int
-		for _, part := range splitComma(junk) {
-			var v int
-			fmt.Sscanf(part, "%d", &v)
-			if v > 0 {
-				counts = append(counts, v)
-			}
-		}
 		bench.Figure5(w, r, bench.SortednessTasks()[4], counts) // quick sort inner: fastest base
 	case 6:
 		bench.Figure6(w, c)
@@ -275,16 +193,18 @@ func runFigure(w io.Writer, r *bench.Runner, c *stats.Collector, n int, junk str
 	}
 }
 
-func splitComma(s string) []string {
-	var out []string
-	cur := ""
-	for _, r := range s {
-		if r == ',' {
-			out = append(out, cur)
-			cur = ""
-			continue
+// parseCounts parses the -junk list: comma-separated positive integers.
+func parseCounts(s string) ([]int, error) {
+	var counts []int
+	for _, part := range strings.Split(s, ",") {
+		n, err := strconv.Atoi(strings.TrimSpace(part))
+		if err != nil {
+			return nil, fmt.Errorf("malformed count %q", part)
 		}
-		cur += string(r)
+		if n <= 0 {
+			return nil, fmt.Errorf("count %d is not positive", n)
+		}
+		counts = append(counts, n)
 	}
-	return append(out, cur)
+	return counts, nil
 }

@@ -51,6 +51,23 @@ func TestTable4Renders(t *testing.T) {
 	Figure9(&f, c)
 }
 
+func TestSuiteTableRenders(t *testing.T) {
+	if testing.Short() {
+		t.Skip("suite run skipped in -short mode")
+	}
+	var b strings.Builder
+	SuiteTable(&b, &Runner{Timeout: 30 * time.Second, Stats: stats.New()}, "quick", QuickSuite())
+	out := b.String()
+	for _, want := range []string{"Suite quick", "List Delete", "LFP", "GFP", "CFP", "queries", "fm-scratch"} {
+		if !strings.Contains(out, want) {
+			t.Errorf("suite table missing %q:\n%s", want, out)
+		}
+	}
+	if rows := strings.Count(out, "List Delete"); rows != 3 {
+		t.Errorf("suite table has %d List Delete rows, want one per method:\n%s", rows, out)
+	}
+}
+
 func TestWithJunkPredicates(t *testing.T) {
 	base := ArrayInit()
 	juiced := WithJunkPredicates(ArrayInit, 7)()

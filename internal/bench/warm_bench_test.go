@@ -1,86 +1,110 @@
 package bench
 
 import (
-	"encoding/json"
-	"os"
 	"runtime"
 	"testing"
 	"time"
 
 	"repro/internal/core"
+	"repro/internal/stats"
 	"repro/internal/store"
 )
 
-// TestWarmBench is `make bench-warm`: the default suite run cold on a fresh
-// knowledge store, then again reopening the same store — a daemon restart.
-// The warm lifetime must prove exactly what the cold one proved with at
-// least 5x less from-scratch work (SMT queries + Fourier–Motzkin
-// eliminations). Writes BENCH_8.json when VS3_BENCH_OUT is set; when
-// VS3_BENCH_BASE points at a previous BENCH_8.json, the warm arm must not
-// regress above 2x the recorded warm baseline work.
+// warmArm is one lifetime of the warm-restart benchmark: the suite's
+// measurements against one on-disk knowledge store, and whether that store
+// opened cold and how many records it loaded.
+type warmArm struct {
+	cells     [][]Measurement
+	coldStart bool
+	loaded    int64
+}
+
+// work sums the arm's from-scratch solving work (SMT queries plus
+// Fourier–Motzkin eliminations) and its store hits.
+func (a warmArm) work() (queries, fm, hits int64) {
+	for _, ms := range a.cells {
+		for _, m := range ms {
+			queries += m.Queries
+			fm += m.FMScratch + m.FMIncremental
+			hits += m.StoreHits
+		}
+	}
+	return queries, fm, hits
+}
+
+// runWarmArm opens the knowledge store in dir, runs the tasks against it,
+// and closes the store (flushing the write-behind queue, as a drained daemon
+// would). Every cell is a fresh Verifier sharing the one store — the serving
+// pool's shape.
+func runWarmArm(t *testing.T, dir string, tasks []Task) warmArm {
+	t.Helper()
+	cfg := core.Config{}
+	st, err := store.Open(dir, store.Options{Params: cfg.SMT.StoreParams()})
+	if err != nil {
+		t.Fatal(err)
+	}
+	cfg.Knowledge = st
+	r := &Runner{Timeout: 2 * time.Minute, Stats: stats.New(), Config: cfg, Parallel: runtime.GOMAXPROCS(0)}
+	arm := warmArm{cells: r.RunAll(tasks)}
+	ss := st.Stats()
+	arm.coldStart = ss.ColdStart
+	arm.loaded = ss.LoadedLemmas + ss.LoadedCores + ss.LoadedVerdicts + ss.LoadedConsistency + ss.LoadedOutcomes
+	if err := st.Close(); err != nil {
+		t.Fatal(err)
+	}
+	for _, ms := range arm.cells {
+		for _, m := range ms {
+			if m.Err != nil {
+				t.Fatalf("%s/%s: %v", m.Task, m.Method, m.Err)
+			}
+		}
+	}
+	return arm
+}
+
+// TestWarmBench is the warm-restart gate: the default suite run cold on a
+// fresh knowledge store, then again reopening the same store — a daemon
+// restart. The warm lifetime must prove exactly what the cold one proved
+// with at least 5x less from-scratch work (SMT queries + Fourier–Motzkin
+// eliminations); in fact it must do none at all, every cell answering from
+// the store.
 func TestWarmBench(t *testing.T) {
 	if testing.Short() {
 		t.Skip("warm-restart benchmark is not a -short test")
 	}
-	rep, err := RunWarmBench(t.TempDir(), "default", 2*time.Minute, runtime.GOMAXPROCS(0), DefaultSuite())
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, c := range append(append([]CellReport{}, rep.Cold.Cells...), rep.Warm.Cells...) {
-		if c.Err != "" {
-			t.Fatalf("%s/%s: %s", c.Task, c.Method, c.Err)
-		}
-	}
-	if rep.Cold.ColdStart != true {
+	dir := t.TempDir()
+	cold := runWarmArm(t, dir, DefaultSuite())
+	warm := runWarmArm(t, dir, DefaultSuite())
+	if !cold.coldStart {
 		t.Error("first lifetime did not report a cold store")
 	}
-	if rep.Warm.ColdStart {
+	if warm.coldStart {
 		t.Error("second lifetime reported a cold store: nothing persisted or load failed")
 	}
-	if rep.Warm.LoadedRecords == 0 {
+	if warm.loaded == 0 {
 		t.Error("warm lifetime loaded zero records")
 	}
-	if !rep.Findings.VerdictsIdentical {
-		t.Error("warm restart changed at least one verdict")
-	}
-	t.Logf("cold: work=%d (q=%d fm=%d+%d) %.2fs", rep.Findings.ColdWork,
-		rep.Cold.Queries, rep.Cold.FMScratch, rep.Cold.FMIncremental, rep.Cold.CellSeconds)
-	t.Logf("warm: work=%d (q=%d fm=%d+%d) hits=%d lemmas=%d cores=%d %.2fs", rep.Findings.WarmWork,
-		rep.Warm.Queries, rep.Warm.FMScratch, rep.Warm.FMIncremental,
-		rep.Warm.StoreHits, rep.Warm.WarmLemmas, rep.Warm.WarmCores, rep.Warm.CellSeconds)
-	if rep.Findings.WarmWork*5 > rep.Findings.ColdWork {
-		t.Errorf("warm restart did not cut from-scratch work >=5x: cold %d vs warm %d",
-			rep.Findings.ColdWork, rep.Findings.WarmWork)
-	}
-	if rep.Warm.StoreHits == 0 {
-		t.Error("warm lifetime answered nothing from the store")
-	}
-
-	if base := os.Getenv("VS3_BENCH_BASE"); base != "" {
-		var prev WarmReport
-		b, err := os.ReadFile(base)
-		if err != nil {
-			t.Logf("baseline %s not readable (%v); skipping regression gate", base, err)
-		} else if err := json.Unmarshal(b, &prev); err != nil {
-			t.Fatalf("baseline %s: %v", base, err)
-		} else if prev.Findings.WarmWork > 0 && rep.Findings.WarmWork > 2*prev.Findings.WarmWork {
-			t.Errorf("warm from-scratch work regressed above 2x baseline: %d vs recorded %d",
-				rep.Findings.WarmWork, prev.Findings.WarmWork)
+	for ti := range cold.cells {
+		for mi, c := range cold.cells[ti] {
+			if w := warm.cells[ti][mi]; c.Proved != w.Proved {
+				t.Errorf("%s/%s: cold proved=%v, warm proved=%v", c.Task, c.Method, c.Proved, w.Proved)
+			}
 		}
 	}
-
-	out := os.Getenv("VS3_BENCH_OUT")
-	if out == "" {
-		return
+	coldQ, coldFM, _ := cold.work()
+	warmQ, warmFM, warmHits := warm.work()
+	coldWork, warmWork := coldQ+coldFM, warmQ+warmFM
+	t.Logf("cold: work=%d (q=%d fm=%d)", coldWork, coldQ, coldFM)
+	t.Logf("warm: work=%d (q=%d fm=%d) store hits=%d, loaded %d records", warmWork, warmQ, warmFM, warmHits, warm.loaded)
+	if warmWork*5 > coldWork {
+		t.Errorf("warm restart did not cut from-scratch work >=5x: cold %d vs warm %d", coldWork, warmWork)
 	}
-	b, err := json.MarshalIndent(rep, "", "  ")
-	if err != nil {
-		t.Fatal(err)
+	if warmWork != 0 {
+		t.Errorf("warm restart did %d from-scratch work, want 0", warmWork)
 	}
-	if err := os.WriteFile(out, append(b, '\n'), 0o644); err != nil {
-		t.Fatal(err)
+	if warmHits == 0 {
+		t.Error("warm lifetime answered nothing from the store")
 	}
-	t.Logf("wrote %s", out)
 }
 
 // TestWarmVsCompactedExamples is the compaction arm of the verdict-identity
