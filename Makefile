@@ -43,11 +43,17 @@ test-race:
 
 # Differential tests for the incremental solving pipeline under the race
 # detector (reused-vs-fresh SAT probes, context-vs-fresh SMT verdicts,
-# fixpoint determinism, ψ_Prog byte-identity), plus the map-solver-vs-legacy-
-# BFS solution-set equivalence sweep: every examples/ problem with the
-# CrossCheck hook on, randomized small lattices, and the randomized §6
-# precondition-enumeration sweep (both enumerators must return equal
-# maximally-weak precondition sets modulo logical equivalence). The lia line
+# fixpoint determinism, ψ_Prog byte-identity), plus the TestMapVsBFS sweeps,
+# which compare the engine's map-solver search with an independent reference:
+# the plain bounded BFS in internal/optimal/optimaltest, run on a fresh
+# solver of its own that shares no memo, core store, context or knowledge
+# store with the engine. Randomized small lattices and the randomized §6
+# precondition sweep answer every group search from the reference in one
+# engine and compare its results with a map-search engine (equal
+# maximally-weak precondition sets modulo logical equivalence); the
+# shared-engine sweep, every examples/ problem, and every examples/ problem
+# on a reopened knowledge store (warm-loaded cores) run the map search and
+# check each group's solution list against the reference's. The lia line
 # is the Fourier–Motzkin sweep: lia.Check and the persistent LinChecker vs
 # brute-force small-domain enumeration over random general linear systems.
 # The store lines are the persistence sweep: record round-trips, checksum /

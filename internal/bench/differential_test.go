@@ -1,13 +1,13 @@
 package bench
 
 import (
-	"sync"
 	"testing"
 
 	"repro/internal/core"
-	"repro/internal/logic"
+	"repro/internal/optimal/optimaltest"
+	"repro/internal/smt"
 	"repro/internal/spec"
-	"repro/internal/template"
+	"repro/internal/store"
 )
 
 // exampleCells lists every problem the examples/ programs exercise, with the
@@ -28,48 +28,34 @@ var exampleCells = []struct {
 	{"Quick Sort (inner) worst case", QuickSortInnerWorstCase, nil},
 }
 
-// crossChecker installs an optimal.Options.CrossCheck hook asserting that the
-// map-solver-guided enumeration and the legacy BFS return the same solution
-// sets (as sets) on every group search the run performs. The hook can fire
-// from parallel workers, so failures are collected under a lock.
-type crossChecker struct {
-	mu     sync.Mutex
-	groups int
-	errs   []string
-}
-
-func (cc *crossChecker) hook(phi logic.Formula, mapSols, bfsSols []template.Solution) {
-	mk := map[string]bool{}
-	for _, s := range mapSols {
-		mk[s.Key()] = true
+// runCell runs one examples/ cell on v: every method the example uses, or
+// precondition inference.
+func runCell(t *testing.T, v *core.Verifier, build func() *spec.Problem, methods []core.Method) {
+	t.Helper()
+	if methods == nil {
+		if _, _, err := v.InferPreconditions(build()); err != nil {
+			t.Fatal(err)
+		}
+		return
 	}
-	bk := map[string]bool{}
-	for _, s := range bfsSols {
-		bk[s.Key()] = true
-	}
-	same := len(mk) == len(bk)
-	if same {
-		for k := range mk {
-			if !bk[k] {
-				same = false
-				break
-			}
+	for _, m := range methods {
+		if _, err := v.Verify(build(), m); err != nil {
+			t.Fatal(err)
 		}
 	}
-	cc.mu.Lock()
-	defer cc.mu.Unlock()
-	cc.groups++
-	if !same && len(cc.errs) < 3 {
-		cc.errs = append(cc.errs,
-			"map/bfs solution sets differ on "+phi.String())
-	}
 }
 
-// TestMapVsBFSExamples runs every examples/ problem with the CrossCheck hook
-// enabled, so every OptimalNegativeSolutions group search performed anywhere
-// in the run (fixpoint repairs, ψ_Prog encoding, precondition enumeration)
-// is checked map-vs-BFS for identical solution sets. This is the
-// `make test-differential` guarantee behind keeping the legacy BFS.
+// crossCheck returns a GroupSearch seam comparing every group search of the
+// run with the independent BFS reference (optimaltest) on a fresh solver.
+func crossCheck(t *testing.T) *optimaltest.Checker {
+	return &optimaltest.Checker{S: smt.NewSolver(smt.Options{}), MaxDepth: 4, MaxSolutions: 64, Errorf: t.Errorf}
+}
+
+// TestMapVsBFSExamples runs every examples/ problem with the GroupSearch
+// seam cross-checking, so every OptimalNegativeSolutions group search
+// performed anywhere in the run (fixpoint repairs, ψ_Prog encoding,
+// precondition enumeration) must return the solution list, order included,
+// that the independent BFS reference computes on a solver of its own.
 func TestMapVsBFSExamples(t *testing.T) {
 	if testing.Short() {
 		t.Skip("examples differential sweep skipped in -short mode (run via make test-differential)")
@@ -77,28 +63,63 @@ func TestMapVsBFSExamples(t *testing.T) {
 	for _, cell := range exampleCells {
 		cell := cell
 		t.Run(cell.name, func(t *testing.T) {
-			cc := &crossChecker{}
+			cc := crossCheck(t)
 			cfg := core.Config{}
-			cfg.Optimal.CrossCheck = cc.hook
-			v := core.New(cfg)
-			if cell.methods == nil {
-				if _, _, err := v.InferPreconditions(cell.build()); err != nil {
+			cfg.Optimal.GroupSearch = cc.Search
+			runCell(t, core.New(cfg), cell.build, cell.methods)
+			if cc.Groups.Load() == 0 {
+				t.Error("GroupSearch seam never fired; differential sweep vacuous")
+			}
+			t.Logf("%d group searches cross-checked", cc.Groups.Load())
+		})
+	}
+}
+
+// TestMapVsBFSWarmCores cross-checks the map search under warm-loaded
+// cores: each examples/ cell is solved once with a fresh knowledge store
+// attached, the store is closed and reopened, and a fresh engine on the
+// reopened store — whose persisted portable cores are promoted into its
+// searches — must agree with the independent reference on every group
+// search.
+func TestMapVsBFSWarmCores(t *testing.T) {
+	if testing.Short() {
+		t.Skip("warm-core differential sweep skipped in -short mode (run via make test-differential)")
+	}
+	var warmCores int64
+	for _, cell := range exampleCells {
+		cell := cell
+		t.Run(cell.name, func(t *testing.T) {
+			dir := t.TempDir()
+			lifetime := func(cc *optimaltest.Checker) *core.Verifier {
+				cfg := core.Config{}
+				st, err := store.Open(dir, store.Options{Params: cfg.SMT.StoreParams()})
+				if err != nil {
 					t.Fatal(err)
 				}
-			} else {
-				for _, m := range cell.methods {
-					if _, err := v.Verify(cell.build(), m); err != nil {
+				defer func() {
+					if err := st.Close(); err != nil {
 						t.Fatal(err)
 					}
+				}()
+				cfg.Knowledge = st
+				if cc != nil {
+					cfg.Optimal.GroupSearch = cc.Search
 				}
+				v := core.New(cfg)
+				runCell(t, v, cell.build, cell.methods)
+				return v
 			}
-			for _, e := range cc.errs {
-				t.Error(e)
+			lifetime(nil)
+			cc := crossCheck(t)
+			warm := lifetime(cc)
+			if cc.Groups.Load() == 0 {
+				t.Error("GroupSearch seam never fired; differential sweep vacuous")
 			}
-			if cc.groups == 0 {
-				t.Error("CrossCheck hook never fired; differential sweep vacuous")
-			}
-			t.Logf("%d group searches cross-checked", cc.groups)
+			warmCores += warm.Engine().NumWarmCores()
+			t.Logf("%d group searches cross-checked, %d warm cores promoted", cc.Groups.Load(), warm.Engine().NumWarmCores())
 		})
+	}
+	if warmCores == 0 {
+		t.Error("no persisted core was promoted in any cell; warm arm vacuous")
 	}
 }

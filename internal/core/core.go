@@ -61,8 +61,8 @@ type Config struct {
 	SMT smt.Options
 	// MaxNegDepth bounds OptimalNegativeSolutions' search (default 4).
 	MaxNegDepth int
-	// Optimal selects the optimal-solutions enumeration strategy and the
-	// engine's internal parallelism.
+	// Optimal sets the optimal-solutions engine's internal parallelism and
+	// its differential-test seam.
 	Optimal optimal.Options
 	// Fixpoint bounds the iterative algorithms.
 	Fixpoint fixpoint.Options

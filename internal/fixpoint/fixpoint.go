@@ -148,13 +148,9 @@ func run(p *spec.Problem, eng *optimal.Engine, opts Options, dir direction) (Res
 	}
 	// Every candidate is scored against the same per-path VC skeletons, so
 	// each probe goes through the path's persistent incremental context
-	// (falls back to from-scratch solving when the solver is non-incremental).
+	// (which decides from scratch when the solver is non-incremental).
 	pathValid := func(i int, sigma template.Solution) bool {
-		f := p.PathVCAt(i, sigma)
-		if c := eng.S.ContextFor(p.PathVCSkeleton(i)); c != nil {
-			return c.Valid(f)
-		}
-		return eng.S.Valid(f)
+		return eng.S.ContextFor(p.PathVCSkeleton(i)).Valid(p.PathVCAt(i, sigma))
 	}
 	score := func(sigma template.Solution, seq int) scored {
 		s := scored{sigma: sigma, seq: seq, failIdx: -1}

@@ -6,6 +6,7 @@ import (
 	"testing"
 
 	"repro/internal/logic"
+	"repro/internal/optimal/optimaltest"
 	"repro/internal/smt"
 	"repro/internal/template"
 )
@@ -24,15 +25,18 @@ func randAtom(rng *rand.Rand) logic.Formula {
 }
 
 // TestMapVsBFSRandomLattice cross-checks the map-solver-guided enumeration
-// against the legacy BFS on hundreds of randomized small lattices: random
-// targets, random vocabularies, one or two negative unknowns sharing a
-// group. Both engines are fresh per trial (no shared cores or memos), and
-// the optimal solution sets must be equal as sets.
+// against the independent BFS reference (optimaltest) on hundreds of
+// randomized small lattices: random targets, random vocabularies, one or two
+// negative unknowns sharing a group. Each trial gets fresh solvers — the
+// reference arm's engine answers every group search from optimaltest on a
+// solver of its own — and the optimal solution lists must be equal, order
+// included.
 func TestMapVsBFSRandomLattice(t *testing.T) {
 	rng := rand.New(rand.NewSource(61))
+	var groups int64
 	for trial := 0; trial < 200; trial++ {
 		// One or two unknowns in the antecedent keep them in one
-		// unknown-connected group, the shape negSearch enumerates.
+		// unknown-connected group, the unit the group search enumerates.
 		nUnknowns := 1 + rng.Intn(2)
 		q := template.Domain{}
 		ante := []logic.Formula{}
@@ -52,44 +56,31 @@ func TestMapVsBFSRandomLattice(t *testing.T) {
 		phi := logic.Imp(logic.Conj(ante...), randAtom(rng))
 
 		mapEng := New(smt.NewSolver(smt.Options{}))
-		bfsEng := New(smt.NewSolver(smt.Options{}))
-		bfsEng.Opts.NoMapSolver = true
-		mapSols := mapEng.OptimalNegativeSolutions(phi, q)
-		bfsSols := bfsEng.OptimalNegativeSolutions(phi, q)
-		mk, bk := solutionKeys(mapSols), solutionKeys(bfsSols)
-		if len(mk) != len(bk) {
-			t.Fatalf("trial %d: map found %d solutions, bfs %d, on %v over %v\nmap: %v\nbfs: %v",
-				trial, len(mk), len(bk), phi, q, mk, bk)
+		refEng := New(smt.NewSolver(smt.Options{}))
+		ref := &optimaltest.Checker{S: smt.NewSolver(smt.Options{}), MaxDepth: 4, MaxSolutions: 64, Replace: true}
+		refEng.Opts.GroupSearch = ref.Search
+		mapSols := optimaltest.Keys(mapEng.OptimalNegativeSolutions(phi, q))
+		refSols := optimaltest.Keys(refEng.OptimalNegativeSolutions(phi, q))
+		if mapSols != refSols {
+			t.Fatalf("trial %d: solutions differ on %v over %v\nmap: %s\nref: %s", trial, phi, q, mapSols, refSols)
 		}
-		for k := range mk {
-			if !bk[k] {
-				t.Fatalf("trial %d: map-only solution %s on %v over %v", trial, k, phi, q)
-			}
-		}
+		groups += ref.Groups.Load()
+	}
+	if groups == 0 {
+		t.Fatal("the reference answered no group search; sweep vacuous")
 	}
 }
 
-// TestMapVsBFSSharedEngine repeats the cross-check through the CrossCheck
-// hook on a single engine, so both enumerations run against the same core
-// store, consistency memo, and incremental contexts — the configuration the
-// production search actually uses.
+// TestMapVsBFSSharedEngine repeats the cross-check on a single engine
+// through the GroupSearch seam: every group search runs the map search
+// against the engine's accumulated core store, consistency memo and
+// incremental contexts, and the reference on its own fresh solver must
+// return the same solution list.
 func TestMapVsBFSSharedEngine(t *testing.T) {
 	rng := rand.New(rand.NewSource(67))
 	eng := New(smt.NewSolver(smt.Options{}))
-	checked := 0
-	eng.Opts.CrossCheck = func(phi logic.Formula, mapSols, bfsSols []template.Solution) {
-		checked++
-		mk, bk := solutionKeys(mapSols), solutionKeys(bfsSols)
-		if len(mk) != len(bk) {
-			t.Errorf("map found %d solutions, bfs %d, on %v", len(mk), len(bk), phi)
-			return
-		}
-		for k := range mk {
-			if !bk[k] {
-				t.Errorf("map-only solution %s on %v", k, phi)
-			}
-		}
-	}
+	cc := &optimaltest.Checker{S: smt.NewSolver(smt.Options{}), MaxDepth: 4, MaxSolutions: 64, Errorf: t.Errorf}
+	eng.Opts.GroupSearch = cc.Search
 	for trial := 0; trial < 120; trial++ {
 		n := 2 + rng.Intn(4)
 		preds := make([]logic.Formula, n)
@@ -103,7 +94,7 @@ func TestMapVsBFSSharedEngine(t *testing.T) {
 		}
 		eng.OptimalNegativeSolutions(logic.Imp(ante, randAtom(rng)), q)
 	}
-	if checked == 0 {
-		t.Fatal("CrossCheck hook never fired")
+	if cc.Groups.Load() == 0 {
+		t.Fatal("GroupSearch seam never fired")
 	}
 }

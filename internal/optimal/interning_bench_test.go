@@ -9,8 +9,8 @@ import (
 
 // benchPhiDomain is the Example 4 instance: a negative unknown under a
 // quantifier with a 12-predicate vocabulary — a representative lattice
-// search whose inner loop exercises the compiled filler, the bitmask
-// subsumption check, and the interned validity cache.
+// search whose inner loop exercises the compiled filler, the map solver's
+// blocking clauses, and the interned validity cache.
 func benchPhiDomain() (logic.Formula, template.Domain) {
 	phi := logic.Imp(
 		logic.EqF(logic.V("i"), logic.I(0)),
@@ -36,8 +36,8 @@ func BenchmarkNegativeSolutionsColdCache(b *testing.B) {
 
 // BenchmarkNegativeSolutionsWarmCache measures the search with a shared
 // engine: every validity verdict is already memoized, so the per-op time is
-// the pure search overhead — candidate construction, compiled fills, bitmask
-// subsumption, and cache-hit lookups. This is the path the fixed-point
+// the pure search overhead — map-solver proposals, candidate construction,
+// compiled fills, and cache-hit lookups. This is the path the fixed-point
 // algorithms hit when many paths share verification conditions.
 func BenchmarkNegativeSolutionsWarmCache(b *testing.B) {
 	phi, q := benchPhiDomain()

@@ -22,10 +22,10 @@ import (
 )
 
 // negMap enumerates the minimal consistent solutions of one
-// unknown-connected group, returning exactly the sets the legacy negBFS
-// returns (see DESIGN.md §11 for the identity argument). Item universe,
-// pre-checks, probe routing, and consistency screening are shared with the
-// BFS; only the order the lattice is explored in differs.
+// unknown-connected group: exactly the sets, in exactly the order, that a
+// plain bounded breadth-first walk of the lattice returns (see DESIGN.md §11
+// for the identity argument; optimaltest holds that walk as the
+// differential tests' independent reference).
 func (e *Engine) negMap(phi logic.Formula, q template.Domain) []template.Solution {
 	unknowns := logic.Unknowns(phi)
 	empty := template.Solution{}
@@ -38,8 +38,9 @@ func (e *Engine) negMap(phi logic.Formula, q template.Domain) []template.Solutio
 		}
 		return nil
 	}
-	// The deduplicated item universe, in the same deterministic order as
-	// negBFS; map variable i is item i.
+	// The deduplicated item universe, in deterministic order (unknowns in
+	// first-occurrence order, each unknown's predicates in domain order); map
+	// variable i is item i.
 	var items []taggedPred
 	indexOf := map[coreItem]int{}
 	for _, u := range unknowns {
@@ -52,18 +53,14 @@ func (e *Engine) negMap(phi logic.Formula, q template.Domain) []template.Solutio
 			items = append(items, taggedPred{unknown: u, pred: p})
 		}
 	}
+	// Probes go through the incremental context keyed by the unfilled group
+	// formula: one persistent SAT instance absorbs every candidate fill.
 	fl := e.Filler(phi)
 	ctx := e.S.ContextFor(logic.Intern(phi))
-	probe := func(sigma template.Solution) bool {
-		f := fl.FillSolution(sigma)
-		if ctx != nil {
-			return ctx.Valid(f)
-		}
-		return e.S.Valid(f)
-	}
-	// Monotonicity pre-checks, as in negBFS: if the full assignment is not
-	// valid no subset is, and if the empty assignment is valid it is the
-	// unique minimal solution.
+	probe := func(sigma template.Solution) bool { return ctx.Valid(fl.FillSolution(sigma)) }
+	// Monotonicity pre-checks: if the full assignment is not valid no subset
+	// is, and if the empty assignment is valid it is the unique minimal
+	// solution.
 	full := empty.Clone()
 	for _, it := range items {
 		full[it.unknown] = full[it.unknown].Add(it.pred)
@@ -169,9 +166,9 @@ func (e *Engine) negMap(phi logic.Formula, q template.Domain) []template.Solutio
 		ms.AddClause(scratch...)
 	}
 
-	// Emit in the legacy BFS discovery order — by size, then lexicographic
+	// Emit in breadth-first discovery order — by size, then lexicographic
 	// item indices — so downstream consumers (seed merging, ψ_Prog clause
-	// layout) see byte-identical inputs in both modes.
+	// layout) see a canonical order independent of the map's proposals.
 	sort.Slice(sols, func(a, b int) bool {
 		sa, sb := sols[a].sel, sols[b].sel
 		if len(sa) != len(sb) {
@@ -233,7 +230,8 @@ func negSolutionOf(empty template.Solution, items []taggedPred, sel []int) templ
 }
 
 // screenConsistency rejects proposals with a contradictory per-unknown
-// predicate set (the same screen negBFS applies before probing): every
+// predicate set (contradictory guards denote "false", make the template
+// conjunct vacuous, and never appear in the paper's optimal sets): every
 // inconsistent unknown contributes a blocking clause to the map solver — the
 // unsat core's up-set when the probe yields one, the exact per-unknown
 // selection otherwise — and fresh cores are persisted for later searches.

@@ -4,12 +4,12 @@
 // minimal sets (adding predicates preserves validity), positive unknowns get
 // maximal sets (deleting predicates preserves validity).
 //
-// OptimalNegativeSolutions is a breadth-first search over the subset lattice
-// with subsumption pruning and a configurable depth bound (the paper
-// observed no solution ever needs more than 4 predicates per negative
-// unknown). OptimalSolutions follows Fig. 2: seed with single-predicate
-// choices for the positive unknowns, then grow maximal solutions with
-// MakeOptimal/Merge. Merged candidates are re-verified with the SMT solver,
+// OptimalNegativeSolutions enumerates the minimal sets of the subset lattice
+// within a configurable depth bound (the paper observed no solution ever
+// needs more than 4 predicates per negative unknown) with a SAT-map-guided
+// search (mapsolver.go). OptimalSolutions follows Fig. 2: seed with
+// single-predicate choices for the positive unknowns, then grow maximal
+// solutions with MakeOptimal/Merge. Merged candidates are re-verified with the SMT solver,
 // so every returned solution truly validates the formula.
 package optimal
 
@@ -26,24 +26,18 @@ import (
 	"repro/internal/template"
 )
 
-// Options selects the engine's enumeration strategy and internal
-// parallelism.
+// Options sets the engine's internal parallelism and its test seam.
 type Options struct {
-	// NoMapSolver disables the SAT-map-guided enumeration of optimal
-	// negative solutions and restores the legacy bounded BFS. Both return
-	// the same solution sets (see DESIGN.md §11); the flag mirrors
-	// smt.Options.NoIncremental as an escape hatch and as the baseline the
-	// differential tests compare against.
-	NoMapSolver bool
 	// Parallel bounds the worker pool that fans out the independent
 	// OptimalNegativeSolutions seeding calls inside OptimalSolutions
 	// (0 = GOMAXPROCS, 1 = sequential).
 	Parallel int
-	// CrossCheck, when non-nil, makes every group search run both the
-	// map-guided and the legacy BFS enumeration and hands both result lists
-	// to the callback (the map result is the one used). Differential-test
-	// hook; leave nil in production.
-	CrossCheck func(phi logic.Formula, mapSols, bfsSols []template.Solution)
+	// GroupSearch, when non-nil, is called for every unknown-connected group
+	// φ instead of the map search, which it may run by calling search; its
+	// result is the group's solution list. Differential tests use it to
+	// answer from, or compare against, an independent reference
+	// enumerator. It may be called concurrently. Leave nil in production.
+	GroupSearch func(phi logic.Formula, q template.Domain, search func() []template.Solution) []template.Solution
 }
 
 // Engine runs optimal-solution searches against one SMT solver.
@@ -54,8 +48,8 @@ type Engine struct {
 	// unknowns in one solution (default 4, the paper's observed maximum).
 	MaxDepth int
 	// MaxSolutions bounds how many optimal negative solutions one call
-	// returns (default 64; the paper never observed more than 6). Both
-	// enumerations run to exhaustion within MaxDepth and truncate the
+	// returns (default 64; the paper never observed more than 6). The
+	// search runs to exhaustion within MaxDepth and truncates the
 	// canonically ordered result, so the bound is a safety valve against
 	// degenerate vocabularies, not a search cutoff.
 	MaxSolutions int
@@ -64,8 +58,7 @@ type Engine struct {
 	Stop func() bool
 	// Stats optionally records Figure 6/7 histograms.
 	Stats *stats.Collector
-	// Opts selects the enumeration strategy (map-solver-guided by default)
-	// and the engine's internal parallelism.
+	// Opts sets the engine's internal parallelism and test seam.
 	Opts Options
 
 	// fillers caches one compiled template.Filler per interned base formula
@@ -90,7 +83,7 @@ type Engine struct {
 	// cores accumulates (unknown, predicate-set) combinations proven
 	// inconsistent, shared across searches and workers: a core killed in one
 	// round keeps killing the same sublattice in every later round (as
-	// bitmask pruning in negBFS, as blocking clauses in negMap). corePruned
+	// blocking clauses in the map search). corePruned
 	// counts candidates rejected because a stored or fresh core applied.
 	cores      *CoreStore
 	corePruned atomic.Int64
@@ -177,17 +170,13 @@ func (e *Engine) Filler(phi logic.Formula) *template.Filler {
 
 // valid instantiates φ with σ and asks the SMT solver, routed through the
 // incremental context keyed by the unfilled φ (the skeleton shared by every
-// candidate fill) when one is available.
+// candidate fill).
 func (e *Engine) valid(phi logic.Formula, sigma template.Solution) bool {
-	f := e.Filler(phi).FillSolution(sigma)
-	if c := e.S.ContextFor(logic.Intern(phi)); c != nil {
-		return c.Valid(f)
-	}
-	return e.S.Valid(f)
+	return e.S.ContextFor(logic.Intern(phi)).Valid(e.Filler(phi).FillSolution(sigma))
 }
 
 // consistencyContext returns the engine's shared context for predicate-set
-// consistency probes (nil when the solver is non-incremental).
+// consistency probes.
 func (e *Engine) consistencyContext() *smt.Context {
 	e.consOnce.Do(func() { e.consCtx = e.S.NewContext() })
 	return e.consCtx
@@ -217,7 +206,7 @@ func (e *Engine) storeCoreStats(unknown string, core []logic.Formula) {
 	}
 }
 
-// taggedPred is one (unknown, predicate) choice in the BFS space.
+// taggedPred is one (unknown, predicate) choice of a search's item universe.
 type taggedPred struct {
 	unknown string
 	pred    logic.Formula
@@ -230,7 +219,7 @@ type taggedPred struct {
 //
 // Before searching, φ is split into independent conjuncts (implication and
 // universal quantification distribute over conjunction) and grouped by
-// shared unknowns; the BFS runs per group and the results are combined,
+// shared unknowns; the search runs per group and the results are combined,
 // which is exact and exponentially cheaper than a joint search.
 func (e *Engine) OptimalNegativeSolutions(phi logic.Formula, q template.Domain) []template.Solution {
 	parts := splitConj(logic.Intern(phi).Simplified().Formula())
@@ -243,7 +232,12 @@ func (e *Engine) OptimalNegativeSolutions(phi logic.Formula, q template.Domain) 
 	}
 	combined := []template.Solution{{}}
 	for _, g := range groups {
-		sols := e.negSearch(g, q)
+		var sols []template.Solution
+		if e.Opts.GroupSearch != nil {
+			sols = e.Opts.GroupSearch(g, q, func() []template.Solution { return e.negMap(g, q) })
+		} else {
+			sols = e.negMap(g, q)
+		}
 		if len(sols) == 0 {
 			e.recordNegSizes(nil)
 			return nil
@@ -344,161 +338,6 @@ func groupByUnknowns(parts []logic.Formula) (groups []logic.Formula, fixed []log
 	return groups, fixed
 }
 
-// negSearch enumerates the optimal negative solutions of one
-// unknown-connected group, through the map-solver-guided search unless the
-// engine was configured for the legacy BFS.
-func (e *Engine) negSearch(phi logic.Formula, q template.Domain) []template.Solution {
-	if e.Opts.NoMapSolver {
-		return e.negBFS(phi, q)
-	}
-	sols := e.negMap(phi, q)
-	if e.Opts.CrossCheck != nil {
-		e.Opts.CrossCheck(phi, sols, e.negBFS(phi, q))
-	}
-	return sols
-}
-
-// negBFS is the legacy bounded breadth-first search over one
-// unknown-connected group, retained behind Options.NoMapSolver as the
-// differential-test baseline for the map-solver-guided search.
-func (e *Engine) negBFS(phi logic.Formula, q template.Domain) []template.Solution {
-	unknowns := logic.Unknowns(phi)
-	empty := template.Solution{}
-	for _, u := range unknowns {
-		empty[u] = template.NewPredSet()
-	}
-	if len(unknowns) == 0 {
-		if e.S.Valid(phi) {
-			return []template.Solution{{}}
-		}
-		return nil
-	}
-	// The deduplicated item universe, in deterministic order. With distinct
-	// items, every candidate the BFS builds is exactly identified by its set
-	// of item indices, so subsumption against already-found solutions is a
-	// word-wise bitmask subset test instead of per-unknown PredSet walks.
-	var items []taggedPred
-	indexOf := map[coreItem]int{}
-	for _, u := range unknowns {
-		for _, p := range q[u] {
-			k := coreItem{unknown: u, pred: logic.Intern(p)}
-			if _, dup := indexOf[k]; dup {
-				continue
-			}
-			indexOf[k] = len(items)
-			items = append(items, taggedPred{unknown: u, pred: p})
-		}
-	}
-	// The base formula is compiled once; each candidate costs one spine
-	// rebuild instead of a full-tree reconstruction. Probes go through the
-	// incremental context keyed by the unfilled group formula — one
-	// persistent SAT instance absorbs every candidate fill of this group.
-	fl := e.Filler(phi)
-	ctx := e.S.ContextFor(logic.Intern(phi))
-	probe := func(sigma template.Solution) bool {
-		f := fl.FillSolution(sigma)
-		if ctx != nil {
-			return ctx.Valid(f)
-		}
-		return e.S.Valid(f)
-	}
-	// Monotonicity pre-check: if even the full assignment is not valid, no
-	// subset is.
-	full := empty.Clone()
-	for _, it := range items {
-		full[it.unknown] = full[it.unknown].Add(it.pred)
-	}
-	if !probe(full) {
-		return nil
-	}
-	if probe(empty) {
-		return []template.Solution{empty}
-	}
-
-	var solutions []template.Solution
-	var solMasks []bitmask
-	subsumed := func(m bitmask) bool {
-		for _, sm := range solMasks {
-			if sm.subsetOf(m) {
-				return true
-			}
-		}
-		return false
-	}
-	// Unsat cores, as masks over this call's item universe: an inconsistent
-	// predicate subset makes every lattice point containing it inconsistent
-	// too (conjoining predicates only strengthens the set), so a single core
-	// kills its whole superset sublattice without probing. Seeded with cores
-	// extracted by earlier calls over the same domain.
-	coreMasks := e.cores.masks(indexOf, len(items))
-	coreBlocked := func(m bitmask) bool {
-		for _, km := range coreMasks {
-			if km.subsetOf(m) {
-				e.corePruned.Add(1)
-				return true
-			}
-		}
-		return false
-	}
-	maskOfCore := func(unknown string, core []logic.Formula) bitmask {
-		m := newBitmask(len(items))
-		for _, p := range core {
-			i, present := indexOf[coreItem{unknown: unknown, pred: logic.Intern(p)}]
-			if !present {
-				return nil // core predicate outside this universe; unusable here
-			}
-			m[i/64] |= 1 << uint(i%64)
-		}
-		return m
-	}
-
-	type node struct {
-		sigma template.Solution
-		mask  bitmask
-		last  int // last item index used, for canonical extension order
-	}
-	frontier := []node{{sigma: empty, mask: newBitmask(len(items)), last: -1}}
-	for depth := 1; depth <= e.maxDepth() && len(frontier) > 0; depth++ {
-		var next []node
-		for _, nd := range frontier {
-			if e.Stop != nil && e.Stop() {
-				return truncateSolutions(solutions, e.maxSolutions())
-			}
-			for i := nd.last + 1; i < len(items); i++ {
-				cm := nd.mask.with(i)
-				if subsumed(cm) || coreBlocked(cm) {
-					continue
-				}
-				cand := nd.sigma.Clone()
-				cand[items[i].unknown] = cand[items[i].unknown].Add(items[i].pred)
-				// Contradictory predicate sets denote the guard "false":
-				// they make the template conjunct vacuous, flood the
-				// solution set, and never appear in the paper's optimal
-				// sets (Example 4). Prune them and all their supersets.
-				if sat, core, fresh := e.satisfiableSet(cand[items[i].unknown]); !sat {
-					if len(core) > 0 {
-						if km := maskOfCore(items[i].unknown, core); km != nil {
-							coreMasks = append(coreMasks, km)
-						}
-						if fresh {
-							e.storeCoreStats(items[i].unknown, core)
-						}
-					}
-					continue
-				}
-				if probe(cand) {
-					solutions = append(solutions, cand)
-					solMasks = append(solMasks, cm)
-					continue
-				}
-				next = append(next, node{sigma: cand, mask: cm, last: i})
-			}
-		}
-		frontier = next
-	}
-	return truncateSolutions(solutions, e.maxSolutions())
-}
-
 // truncateSolutions applies the MaxSolutions safety valve to a canonically
 // ordered solution list.
 func truncateSolutions(sols []template.Solution, max int) []template.Solution {
@@ -508,28 +347,10 @@ func truncateSolutions(sols []template.Solution, max int) []template.Solution {
 	return sols
 }
 
-// bitmask is a fixed-width bit set over negBFS item indices.
+// bitmask is a fixed-width bit set over a search's item indices.
 type bitmask []uint64
 
 func newBitmask(n int) bitmask { return make(bitmask, (n+63)/64) }
-
-// with returns a copy of m with bit i set.
-func (m bitmask) with(i int) bitmask {
-	c := make(bitmask, len(m))
-	copy(c, m)
-	c[i/64] |= 1 << uint(i%64)
-	return c
-}
-
-// subsetOf reports whether every bit of m is set in o.
-func (m bitmask) subsetOf(o bitmask) bool {
-	for k := range m {
-		if m[k]&^o[k] != 0 {
-			return false
-		}
-	}
-	return true
-}
 
 // satisfiableSet reports whether the conjunction of a predicate set has a
 // model. Verdicts are memoized per interned conjunction — the searches
@@ -568,14 +389,9 @@ func (e *Engine) satisfiableSet(ps template.PredSet) (sat bool, core []logic.For
 		}
 		e.Stats.RecordStoreLookup(false)
 	}
-	decided := false
-	if c := e.consistencyContext(); c != nil {
-		if consistent, cr, ok := c.Consistent(ps.Preds()); ok {
-			cv.sat, cv.core = consistent, cr
-			decided = true
-		}
-	}
-	if !decided {
+	if consistent, cr, ok := e.consistencyContext().Consistent(ps.Preds()); ok {
+		cv.sat, cv.core = consistent, cr
+	} else {
 		cv.sat = !e.S.Valid(logic.Neg(ps.Formula()))
 	}
 	got, loaded := e.consMemo.LoadOrStore(key, cv)
@@ -598,15 +414,6 @@ func (e *Engine) recordNegSizes(sols []template.Solution) {
 		}
 		e.Stats.RecordNegSolutionSize(n)
 	}
-}
-
-func solutionSubset(a, b template.Solution) bool {
-	for u, pa := range a {
-		if !pa.SubsetOf(b[u]) {
-			return false
-		}
-	}
-	return true
 }
 
 // OptimalSolutions returns optimal solutions of φ over Q (Fig. 2): maximal

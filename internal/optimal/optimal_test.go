@@ -20,6 +20,16 @@ func solutionKeys(sols []template.Solution) map[string]bool {
 	return out
 }
 
+// solutionSubset reports whether every per-unknown set of a is within b's.
+func solutionSubset(a, b template.Solution) bool {
+	for u, pa := range a {
+		if !pa.SubsetOf(b[u]) {
+			return false
+		}
+	}
+	return true
+}
+
 // qj builds the paper's Q_{j,V} for bound variable j and bounds {0,i,n}.
 func qjTerms(j string, bounds []logic.Term) []logic.Formula {
 	var out []logic.Formula

@@ -9,6 +9,7 @@ import (
 	"repro/internal/lang"
 	"repro/internal/logic"
 	"repro/internal/optimal"
+	"repro/internal/optimal/optimaltest"
 	"repro/internal/smt"
 	"repro/internal/spec"
 	"repro/internal/template"
@@ -72,10 +73,21 @@ func equivalentSets(s *smt.Solver, a, b []Precondition) bool {
 	return true
 }
 
+// refEngine returns an engine whose every group search is answered by the
+// independent BFS reference (optimaltest) on a solver of its own, and the
+// seam, which counts those searches.
+func refEngine() (*optimal.Engine, *optimaltest.Checker) {
+	eng := newEngine()
+	ref := &optimaltest.Checker{S: smt.NewSolver(smt.Options{}), MaxDepth: 4, MaxSolutions: 64, Replace: true}
+	eng.Opts.GroupSearch = ref.Search
+	return eng, ref
+}
+
 // TestMapVsBFSPreconditions is the §6 leg of the differential sweep
 // (`make test-differential`): the map-solver-guided enumeration and the
-// legacy BFS must produce the same maximally-weak precondition sets — as
-// sets, modulo logical equivalence — on randomized tasks. The §6 pipeline
+// independent BFS reference must produce the same maximally-weak
+// precondition sets — as sets, modulo logical equivalence — on randomized
+// tasks. The §6 pipeline
 // leans on the enumerators harder than plain verification does (Options.All
 // exhausts every fixed point, then filterExtremal compares them pairwise),
 // so an enumeration discrepancy that plain verification masks shows up here
@@ -87,11 +99,11 @@ func TestMapVsBFSPreconditions(t *testing.T) {
 	rng := rand.New(rand.NewSource(71))
 	cmp := smt.NewSolver(smt.Options{})
 	nonEmpty := 0
+	var groups int64
 	for trial := 0; trial < 60; trial++ {
 		p := randProblem(rng)
-		mapEng := optimal.New(smt.NewSolver(smt.Options{}))
-		bfsEng := optimal.New(smt.NewSolver(smt.Options{}))
-		bfsEng.Opts.NoMapSolver = true
+		mapEng := newEngine()
+		bfsEng, ref := refEngine()
 
 		mapPres, mapEnum, err := MaximallyWeak(p, mapEng, fixpoint.Options{})
 		if err != nil {
@@ -111,6 +123,10 @@ func TestMapVsBFSPreconditions(t *testing.T) {
 		if len(mapPres) > 0 {
 			nonEmpty++
 		}
+		groups += ref.Groups.Load()
+	}
+	if groups == 0 {
+		t.Error("the reference answered no group search; sweep vacuous")
 	}
 	if nonEmpty == 0 {
 		t.Error("every trial produced an empty precondition set; sweep vacuous")
@@ -126,8 +142,7 @@ func TestMapVsBFSGuardedInit(t *testing.T) {
 		t.Skip("differential sweep skipped in -short mode")
 	}
 	mapEng := newEngine()
-	bfsEng := newEngine()
-	bfsEng.Opts.NoMapSolver = true
+	bfsEng, ref := refEngine()
 	mapPres, _, err := MaximallyWeak(guardedInit(), mapEng, fixpoint.Options{})
 	if err != nil {
 		t.Fatal(err)
@@ -138,6 +153,9 @@ func TestMapVsBFSGuardedInit(t *testing.T) {
 	}
 	if len(mapPres) == 0 {
 		t.Fatal("no preconditions found")
+	}
+	if ref.Groups.Load() == 0 {
+		t.Error("the reference answered no group search")
 	}
 	if !equivalentSets(mapEng.S, mapPres, bfsPres) {
 		t.Errorf("precondition sets differ\n  map: %v\n  bfs: %v",

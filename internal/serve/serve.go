@@ -410,9 +410,12 @@ func (s *Server) lease(parent context.Context, client string, timeoutMS int64) (
 	sess.bind(reqCtx)
 	s.requests.Add(1)
 	s.inflight.Add(1)
-	before := sess.col.Snapshot()
+	// The session's collector lives as long as the daemon, so it is drained
+	// at both ends of a lease: what was recorded between leases is
+	// discarded, and the request's own records leave with its delta.
+	sess.col.Take()
 	finish := func() stats.Snapshot {
-		delta := sess.col.Snapshot().Sub(before)
+		delta := sess.col.Take()
 		cancel()
 		sess.unbind()
 		s.fq.release(sess)

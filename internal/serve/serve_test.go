@@ -2,6 +2,7 @@ package serve
 
 import (
 	"bytes"
+	"context"
 	"encoding/json"
 	"fmt"
 	"net/http"
@@ -10,6 +11,8 @@ import (
 	"sync"
 	"testing"
 	"time"
+
+	"repro/internal/stats"
 )
 
 // arrayInitSpec is the paper's running example in vs3 input syntax, with
@@ -413,5 +416,35 @@ func TestDrainFlipsHealthz(t *testing.T) {
 	}
 	if !getStats(t, ts.Client(), ts.URL).Draining {
 		t.Error("stats does not report draining")
+	}
+}
+
+// TestSessionCollectorDrained is the bounded-memory regression for the
+// daemon-lifetime session collectors: after several requests on a pool-1
+// server the session's collector must hold no samples (each lease takes its
+// delta out), while the per-request stats still sum to the server-lifetime
+// aggregate that /v1/stats and /metrics report.
+func TestSessionCollectorDrained(t *testing.T) {
+	srv := New(Config{Pool: 1})
+	var sum stats.Snapshot
+	for i, m := range []string{"lfp", "gfp", "cfp", "lfp"} {
+		resp, _, status, err := srv.RunVerify(context.Background(), "c", VerifyRequest{Spec: arrayInitSpec(0), Method: m})
+		if err != nil || status != http.StatusOK || !resp.Proved {
+			t.Fatalf("request %d (%s): status %d, proved %v, err %v", i, m, status, resp.Proved, err)
+		}
+		sum = sum.Add(resp.Stats)
+	}
+	if sum.Queries == 0 || sum.OptCalls == 0 {
+		t.Fatalf("requests recorded nothing: %+v", sum)
+	}
+	col := srv.sessions[0].col
+	if got := col.Snapshot(); got != (stats.Snapshot{}) {
+		t.Errorf("session collector holds %+v after the requests finished, want nothing", got)
+	}
+	if n := len(col.QueryDurations()); n != 0 {
+		t.Errorf("session collector holds %d query latencies, want 0", n)
+	}
+	if agg := srv.statsSnapshot().Collector; agg != sum {
+		t.Errorf("aggregate %+v != sum of request stats %+v", agg, sum)
 	}
 }

@@ -45,6 +45,11 @@ import (
 // invariant. The only remaining dormancy trigger is Ackermann pair-budget
 // exhaustion, where the context's cumulative budget could diverge from the
 // fresh path's per-probe one.
+//
+// A Context with a nil group is the solver's plain context (Solver.Valid,
+// and what ContextFor/NewContext return when incremental solving is off or
+// the registry is full): it holds no incremental state, decides every probe
+// from scratch, and answers Consistent with ok=false.
 type Context struct {
 	s     *Solver
 	group *ctxGroup
@@ -272,71 +277,80 @@ func (c *Context) reset() {
 	c.imported = 0
 }
 
-// Valid mirrors Solver.Valid — same memo table, same trivial short-circuits,
-// same conservative treatment of Stop — but decides cache misses through the
-// persistent context: the probe's ground formula is encoded into the shared
-// SAT instance and solved under a single assumption literal, reusing learnt
-// clauses, theory lemmas, Ackermann constraints, and the difference-fragment
-// preprocessing of all earlier probes. Falls back to the from-scratch
-// decision when the context cannot answer exactly (dormant context or lock
-// contention); verdicts are identical either way.
+// Valid reports whether f is valid. Trivial formulas are decided before
+// touching the interner; otherwise the memo table is consulted (a repeated
+// query costs one hash walk of f plus a pointer-keyed map probe), then the
+// knowledge store. A miss is decided through the persistent context: the
+// probe's ground formula is encoded into the shared SAT instance and solved
+// under a single assumption literal, reusing learnt clauses, theory lemmas,
+// Ackermann constraints, and the difference-fragment preprocessing of all
+// earlier probes. It falls back to the from-scratch decision when the
+// context cannot answer exactly (plain or dormant context, or every lane
+// busy); verdicts are identical either way. Each decided miss increments
+// exactly one of NumQueries (from scratch) and NumAssumptionProbes.
 func (c *Context) Valid(f logic.Formula) bool {
+	s := c.s
 	if v, ok := logic.TrivialVerdict(f); ok {
 		return v
 	}
 	n := logic.Intern(f)
-	e, hit := c.s.cache.lookupOrClaim(n)
+	e, hit := s.cache.lookupOrClaim(n)
 	if hit {
 		<-e.done
-		c.s.cacheHits.Add(1)
+		s.cacheHits.Add(1)
 		return e.val
 	}
 	var skey string
-	if c.s.opts.Store != nil {
+	if s.opts.Store != nil {
 		skey = store.FormulaKey(n.Formula())
-		if v, ok := c.s.opts.Store.Verdict(skey); ok {
-			c.s.storeHits.Add(1)
-			c.s.stats.RecordStoreLookup(true)
+		if v, ok := s.opts.Store.Verdict(skey); ok {
+			s.storeHits.Add(1)
+			s.stats.RecordStoreLookup(true)
 			e.settle(v)
 			return v
 		}
-		c.s.stats.RecordStoreLookup(false)
+		s.stats.RecordStoreLookup(false)
 	}
 	start := time.Now()
 	var v bool
 	sn := n.Simplified()
 	if b, ok := sn.Formula().(logic.Bool); ok {
 		v = b.Val
-		c.s.queries.Add(1)
-	} else if ground, done, gv := c.s.groundForm(sn.Negated()); done {
+		s.queries.Add(1)
+	} else if ground, done, gv := s.groundForm(sn.Negated()); done {
 		v = !gv
-		c.s.queries.Add(1)
+		s.queries.Add(1)
 	} else if satisfiable, ok := c.tryDecide(ground); ok {
 		v = !satisfiable
-		c.s.ctxProbes.Add(1)
+		s.ctxProbes.Add(1)
 	} else {
-		v = !c.s.decideGround(ground)
-		c.s.queries.Add(1)
+		v = !s.decideGround(ground)
+		s.queries.Add(1)
 	}
-	c.s.stats.RecordQuery(time.Since(start))
+	s.stats.RecordQuery(time.Since(start))
 	e.settle(v)
-	if c.s.opts.Stop != nil && c.s.opts.Stop() {
-		// Same rule as Solver.Valid: an abandoned, conservative verdict must
-		// not be memoized as real.
-		c.s.cache.forget(n, e)
-	} else if c.s.opts.Store != nil {
-		c.s.opts.Store.AppendVerdict(skey, v)
+	if s.opts.Stop != nil && s.opts.Stop() {
+		// The run was abandoned mid-query; the conservative answer must not
+		// be memoized as a real verdict. Waiters already holding the entry
+		// still get the (conservative) value.
+		s.cache.forget(n, e)
+	} else if s.opts.Store != nil {
+		// Settled without a fired Stop: a real verdict, safe to persist.
+		s.opts.Store.AppendVerdict(skey, v)
 	}
 	return v
 }
 
 // tryDecide decides satisfiability of a ground formula incrementally.
-// ok=false means no lane of the group could answer exactly and the caller
-// must take the from-scratch path. Under lock contention the probe walks the
-// group's lane pool and, when every lane is busy, creates a sibling lane —
-// scaling incremental solving across workers instead of degrading to
-// from-scratch decisions.
+// ok=false means the context is plain or no lane of the group could answer
+// exactly, and the caller must take the from-scratch path. Under lock
+// contention the probe walks the group's lane pool and, when every lane is
+// busy, creates a sibling lane — scaling incremental solving across workers
+// instead of degrading to from-scratch decisions.
 func (c *Context) tryDecide(ground logic.Formula) (satisfiable, ok bool) {
+	if c.group == nil {
+		return false, false
+	}
 	for _, lane := range c.group.snapshotLanes() {
 		if !lane.mu.TryLock() {
 			continue
@@ -426,14 +440,17 @@ func (c *Context) importLemmas() {
 // unsatisfiable — and since conjoining more predicates only strengthens the
 // formula, any superset of the core is unsatisfiable too, which is what lets
 // the lattice search kill whole sublattices per core. ok=false means the
-// context could not answer exactly (a predicate normalizes to a quantified
-// formula, dormant context, or lock contention) and the caller must fall
-// back to the from-scratch path.
+// context could not answer exactly (plain context, a predicate normalizes to
+// a quantified formula, dormant context, or lock contention) and the caller
+// must fall back to the from-scratch path.
 //
 // Each distinct predicate becomes one selector literal (its encoded root),
 // probes are SolveAssuming calls over the selected literals, and the SAT
 // core maps back to predicate identities through the selector table.
 func (c *Context) Consistent(preds []logic.Formula) (consistent bool, core []logic.Formula, ok bool) {
+	if c.group == nil {
+		return false, nil, false
+	}
 	for _, lane := range c.group.snapshotLanes() {
 		if !lane.mu.TryLock() {
 			continue

@@ -59,9 +59,6 @@ func TestContextVsFreshRandomGround(t *testing.T) {
 	rng := rand.New(rand.NewSource(7))
 	s := NewSolver(Options{})
 	ctx := s.NewContext()
-	if ctx == nil {
-		t.Fatal("NewContext returned nil on an incremental solver")
-	}
 	for probe := 0; probe < 300; probe++ {
 		f := genDiffFormula(rng, 3)
 		got := ctx.Valid(f)
@@ -205,8 +202,10 @@ func TestContextQuantifiedFallback(t *testing.T) {
 	}
 }
 
-// TestContextForRegistry: same skeleton key returns the same context; the
-// NoIncremental escape hatch returns nil from both constructors.
+// TestContextForRegistry: same skeleton key returns the same context; under
+// NoIncremental both constructors return the solver's plain context, which
+// decides probes from scratch (counted as queries, never as assumption
+// probes) and answers Consistent with ok=false.
 func TestContextForRegistry(t *testing.T) {
 	s := NewSolver(Options{})
 	key := logic.Intern(logic.Rel(logic.Le, logic.V("a"), logic.V("b")))
@@ -219,11 +218,19 @@ func TestContextForRegistry(t *testing.T) {
 		t.Errorf("NumContexts = %d, want 1", s.NumContexts())
 	}
 	off := NewSolver(Options{NoIncremental: true})
-	if off.ContextFor(key) != nil || off.NewContext() != nil {
-		t.Error("NoIncremental solver should not hand out contexts")
+	plain := off.ContextFor(key)
+	if plain == nil || off.NewContext() != plain {
+		t.Fatal("NoIncremental solver should hand out its one plain context")
 	}
-	if off.Incremental() {
-		t.Error("Incremental() should be false under NoIncremental")
+	if !plain.Valid(logic.Imp(logic.Rel(logic.Lt, logic.V("a"), logic.V("b")), logic.Rel(logic.Le, logic.V("a"), logic.V("b")))) {
+		t.Error("plain context: a < b => a <= b should be valid")
+	}
+	if off.NumQueries() != 1 || off.NumAssumptionProbes() != 0 || off.NumContexts() != 0 {
+		t.Errorf("plain context: queries=%d probes=%d contexts=%d, want 1/0/0",
+			off.NumQueries(), off.NumAssumptionProbes(), off.NumContexts())
+	}
+	if _, _, ok := plain.Consistent([]logic.Formula{logic.Rel(logic.Lt, logic.V("a"), logic.V("b"))}); ok {
+		t.Error("plain context answered Consistent")
 	}
 }
 

@@ -5,7 +5,6 @@ import (
 	"sort"
 	"sync"
 	"sync/atomic"
-	"time"
 
 	"repro/internal/lia"
 	"repro/internal/logic"
@@ -38,9 +37,9 @@ type Options struct {
 	// (Valid reports false), releasing the CPU promptly after a timeout.
 	Stop func() bool
 	// NoIncremental disables persistent assumption-based contexts:
-	// ContextFor and NewContext return nil and every probe takes the
-	// from-scratch path. Used by differential tests and A/B benchmarking;
-	// verdicts are identical either way.
+	// ContextFor and NewContext return a context without incremental state,
+	// so every probe takes the from-scratch path. Used by differential tests
+	// and A/B benchmarking; verdicts are identical either way.
 	NoIncremental bool
 	// Store, when non-nil, is the on-disk knowledge base: cache-missing
 	// validity verdicts are answered from it when present (and appended to
@@ -95,6 +94,11 @@ type Solver struct {
 	// read-only after construction, so sharing across goroutines is safe.
 	trigMemo sync.Map
 
+	// plain is the context without incremental state: Solver.Valid runs
+	// through it, and ContextFor/NewContext hand it out when incremental
+	// solving is off or the registry is full.
+	plain *Context
+
 	queries   atomic.Int64 // validity checks actually decided (cache misses)
 	cacheHits atomic.Int64 // validity checks answered from the memo table
 
@@ -120,13 +124,15 @@ type Solver struct {
 }
 
 // maxContexts bounds the per-skeleton registry; beyond it ContextFor returns
-// nil and callers take the from-scratch path.
+// the solver's plain context and probes take the from-scratch path.
 const maxContexts = 1024
 
 // NewSolver returns a solver with the given options.
 func NewSolver(opts Options) *Solver {
 	opts = opts.Normalize()
-	return &Solver{opts: opts, cache: newValidityCache(opts.CacheSize)}
+	s := &Solver{opts: opts, cache: newValidityCache(opts.CacheSize)}
+	s.plain = &Context{s: s}
+	return s
 }
 
 // SetStats attaches a collector that receives per-query latencies (Figure 4).
@@ -193,16 +199,14 @@ func (s *Solver) NumFMCubeHits() int64 { return s.fmCounters.CubeHits.Load() }
 // Truncated "satisfiable".
 func (s *Solver) NumFMCapHits() int64 { return s.fmCounters.CapHits.Load() }
 
-// Incremental reports whether persistent assumption-based contexts are
-// enabled (Options.NoIncremental unset).
-func (s *Solver) Incremental() bool { return !s.opts.NoIncremental }
-
 // ContextFor returns the persistent incremental context keyed by a compiled
-// VC skeleton, creating it on first use. Returns nil when incremental solving
-// is disabled or the registry is full; callers must then fall back to Valid.
+// VC skeleton, creating it on first use. It never returns nil: when
+// incremental solving is disabled or the registry is full it returns the
+// solver's plain context, whose probes are decided from scratch exactly as
+// Solver.Valid decides them.
 func (s *Solver) ContextFor(key *logic.IFormula) *Context {
 	if s.opts.NoIncremental || key == nil {
-		return nil
+		return s.plain
 	}
 	s.ctxMu.RLock()
 	c := s.ctxs[key]
@@ -219,7 +223,7 @@ func (s *Solver) ContextFor(key *logic.IFormula) *Context {
 		s.ctxs = map[*logic.IFormula]*Context{}
 	}
 	if len(s.ctxs) >= maxContexts {
-		return nil
+		return s.plain
 	}
 	var skel string
 	if s.opts.Store != nil {
@@ -233,70 +237,22 @@ func (s *Solver) ContextFor(key *logic.IFormula) *Context {
 }
 
 // NewContext returns a standalone incremental context outside the
-// per-skeleton registry (nil when incremental solving is disabled). Used for
-// predicate-consistency probing, where the "skeleton" is the predicate
-// vocabulary itself.
+// per-skeleton registry (the plain context when incremental solving is
+// disabled). Used for predicate-consistency probing, where the "skeleton" is
+// the predicate vocabulary itself.
 func (s *Solver) NewContext() *Context {
 	if s.opts.NoIncremental {
-		return nil
+		return s.plain
 	}
 	return s.newContext()
 }
 
 // Valid reports whether f is valid (true in every model). The answer true is
 // always sound; false may also mean "not provable within the instantiation
-// bounds", which client algorithms treat conservatively.
-//
-// The hot path is allocation-conscious: syntactically trivial formulas are
-// decided before touching the interner or the cache, and a repeated query
-// costs one hash walk of f plus a pointer-keyed map probe — the formula is
-// never serialized and never re-simplified.
-func (s *Solver) Valid(f logic.Formula) bool {
-	if v, ok := logic.TrivialVerdict(f); ok {
-		return v
-	}
-	n := logic.Intern(f)
-	e, hit := s.cache.lookupOrClaim(n)
-	if hit {
-		<-e.done
-		s.cacheHits.Add(1)
-		return e.val
-	}
-	var skey string
-	if s.opts.Store != nil {
-		skey = store.FormulaKey(n.Formula())
-		if v, ok := s.opts.Store.Verdict(skey); ok {
-			s.storeHits.Add(1)
-			s.stats.RecordStoreLookup(true)
-			e.settle(v)
-			return v
-		}
-		s.stats.RecordStoreLookup(false)
-	}
-	start := time.Now()
-	var v bool
-	sn := n.Simplified()
-	if b, ok := sn.Formula().(logic.Bool); ok {
-		v = b.Val
-	} else if ground, done, gv := s.groundForm(sn.Negated()); done {
-		v = !gv
-	} else {
-		v = !s.decideGround(ground)
-	}
-	s.stats.RecordQuery(time.Since(start))
-	s.queries.Add(1)
-	e.settle(v)
-	if s.opts.Stop != nil && s.opts.Stop() {
-		// The run was abandoned mid-query; the conservative answer must
-		// not be memoized as a real verdict. Waiters already holding the
-		// entry still get the (conservative) value.
-		s.cache.forget(n, e)
-	} else if s.opts.Store != nil {
-		// Settled without a fired Stop: a real verdict, safe to persist.
-		s.opts.Store.AppendVerdict(skey, v)
-	}
-	return v
-}
+// bounds", which client algorithms treat conservatively. It is Context.Valid
+// on the solver's context-free context, so every cache miss is decided from
+// scratch.
+func (s *Solver) Valid(f logic.Formula) bool { return s.plain.Valid(f) }
 
 // normalizeForSolving is the solver-side preprocessing chain, memoized per
 // interned formula via IFormula.Normalized: array equalities become

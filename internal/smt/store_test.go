@@ -106,13 +106,7 @@ func TestWarmLemmaSeeding(t *testing.T) {
 		A: logic.And{Fs: []logic.Formula{logic.LeF(x, y), logic.LeF(y, z)}},
 		B: logic.LeF(x, z),
 	}
-	probe := func(s *Solver) bool {
-		c := s.ContextFor(logic.Intern(skel))
-		if c == nil {
-			t.Fatal("no context")
-		}
-		return c.Valid(skel)
-	}
+	probe := func(s *Solver) bool { return s.ContextFor(logic.Intern(skel)).Valid(skel) }
 
 	st := openStoreT(t, dir, opts)
 	cold := NewSolver(Options{Store: st})

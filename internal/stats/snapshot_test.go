@@ -44,51 +44,31 @@ func TestSnapshotCounts(t *testing.T) {
 	}
 }
 
-// TestSnapshotAddSub checks the two laws the server relies on: Sub of a
-// later snapshot against an earlier one on the same collector yields exactly
-// the activity in between (request-scoped deltas), and Add folds deltas into
-// a fleet aggregate.
-func TestSnapshotAddSub(t *testing.T) {
-	c := New()
-	record(c, 2)
-	before := c.Snapshot()
-	record(c, 5)
-	delta := c.Snapshot().Sub(before)
-	if delta.Queries != 5 {
-		t.Errorf("delta queries = %d, want 5", delta.Queries)
+// TestSnapshotAddTake checks the laws the server relies on: Take returns
+// exactly what was recorded since the previous Take and clears it (a second
+// Take is zero), the sum of consecutive Takes equals one Snapshot over the
+// same records, and Add folds them into a fleet aggregate.
+func TestSnapshotAddTake(t *testing.T) {
+	whole, parts := New(), New()
+	record(whole, 2)
+	record(whole, 5)
+	record(parts, 2)
+	first := parts.Take()
+	if first.Queries != 2 || first.NegSolutions != 1 || first.CoreEvictions != 1 {
+		t.Errorf("first Take = %+v, want 2 queries and one of each other record", first)
 	}
-	if delta.NegSolutions != 1 || delta.CoreEvictions != 1 {
-		t.Errorf("delta = %+v, want one of each non-query record", delta)
+	if got := parts.Take(); got != (Snapshot{}) {
+		t.Errorf("second Take = %+v, want zero", got)
 	}
-	if got := before.Add(delta); got != c.Snapshot() {
-		t.Errorf("before + delta = %+v, want %+v", got, c.Snapshot())
+	if got := parts.Snapshot(); got != (Snapshot{}) {
+		t.Errorf("Snapshot after Take = %+v, want zero", got)
 	}
-	if got := c.Snapshot().Sub(c.Snapshot()); got != (Snapshot{}) {
-		t.Errorf("s - s = %+v, want zero", got)
+	record(parts, 5)
+	if got, want := first.Add(parts.Take()), whole.Snapshot(); got != want {
+		t.Errorf("sum of Takes = %+v, want %+v", got, want)
 	}
-}
-
-func TestMergeFoldsCollectors(t *testing.T) {
-	agg := New()
-	record(agg, 1)
-	req := New()
-	record(req, 4)
-	agg.Merge(req)
-	got := agg.Snapshot()
-	if got.Queries != 5 {
-		t.Errorf("merged queries = %d, want 5", got.Queries)
-	}
-	if got.NegSolutions != 2 || got.SATFormulas != 2 || got.CoreEvictions != 2 {
-		t.Errorf("merged snapshot = %+v, want two of each record", got)
-	}
-	// The source is unchanged, and merging nil is a no-op.
-	if req.Snapshot().Queries != 4 {
-		t.Error("Merge mutated its source")
-	}
-	agg.Merge(nil)
 	var nilc *Collector
-	nilc.Merge(req)
-	if agg.Snapshot().Queries != 5 {
-		t.Error("Merge(nil) changed the aggregate")
+	if nilc.Take() != (Snapshot{}) {
+		t.Error("nil collector Take not zero")
 	}
 }

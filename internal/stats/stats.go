@@ -109,13 +109,6 @@ func (c *Collector) RecordCoreEviction() {
 	c.mu.Unlock()
 }
 
-// CoreEvictions returns how many core-store evictions were recorded.
-func (c *Collector) CoreEvictions() int {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return c.coreEvictions
-}
-
 // RecordFMCapHit records that one Fourier–Motzkin elimination hit the
 // derived-constraint cap and returned a conservative (Truncated) answer
 // instead of a decision.
@@ -126,13 +119,6 @@ func (c *Collector) RecordFMCapHit() {
 	c.mu.Lock()
 	c.fmCapHits++
 	c.mu.Unlock()
-}
-
-// FMCapHits returns how many Fourier–Motzkin cap hits were recorded.
-func (c *Collector) FMCapHits() int {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return c.fmCapHits
 }
 
 // RecordStoreLookup records one lookup against the on-disk knowledge store
@@ -150,52 +136,9 @@ func (c *Collector) RecordStoreLookup(hit bool) {
 	c.mu.Unlock()
 }
 
-// StoreLookups returns the knowledge-store hit/miss counts recorded so far.
-func (c *Collector) StoreLookups() (hits, misses int) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return c.storeHits, c.storeMisses
-}
-
-// Merge appends everything recorded in o into c. Safe for concurrent use on
-// c; o must not be concurrently recorded into while it is being merged.
-// It lets short-lived collectors (one per request or benchmark cell) fold
-// into a long-lived aggregate.
-func (c *Collector) Merge(o *Collector) {
-	if c == nil || o == nil {
-		return
-	}
-	o.mu.Lock()
-	qd := append([]time.Duration(nil), o.queryDurations...)
-	ns := append([]int(nil), o.negSolSizes...)
-	oc := append([]int(nil), o.optSolCounts...)
-	cd := append([]int(nil), o.candidates...)
-	sc := append([]int(nil), o.satClauses...)
-	sv := append([]int(nil), o.satVars...)
-	cs := append([]int(nil), o.coreSizes...)
-	ce := o.coreEvictions
-	fm := o.fmCapHits
-	sh, sm := o.storeHits, o.storeMisses
-	o.mu.Unlock()
-	c.mu.Lock()
-	c.queryDurations = append(c.queryDurations, qd...)
-	c.negSolSizes = append(c.negSolSizes, ns...)
-	c.optSolCounts = append(c.optSolCounts, oc...)
-	c.candidates = append(c.candidates, cd...)
-	c.satClauses = append(c.satClauses, sc...)
-	c.satVars = append(c.satVars, sv...)
-	c.coreSizes = append(c.coreSizes, cs...)
-	c.coreEvictions += ce
-	c.fmCapHits += fm
-	c.storeHits += sh
-	c.storeMisses += sm
-	c.mu.Unlock()
-}
-
 // Snapshot is a fixed-size, mergeable summary of a Collector: every field is
-// a count, so snapshots can be added (fleet aggregation) and subtracted
-// (request-scoped deltas between two points of a long-lived collector). The
-// latency histogram uses the Figure 4 buckets in DurationHistogram order.
+// a count, so snapshots can be added (fleet aggregation). The latency
+// histogram uses the Figure 4 buckets in DurationHistogram order.
 type Snapshot struct {
 	Queries        int    `json:"smt_queries"`
 	QueryBuckets   [5]int `json:"smt_query_latency_buckets"`
@@ -220,6 +163,28 @@ func (c *Collector) Snapshot() Snapshot {
 	}
 	c.mu.Lock()
 	defer c.mu.Unlock()
+	return c.snapshotLocked()
+}
+
+// Take summarizes everything recorded since the collector was created or
+// last taken, and clears it: consecutive Takes partition the records, so
+// their sum equals one Snapshot over the same records. A long-lived
+// collector drained by Take holds only what was recorded since the last
+// call.
+func (c *Collector) Take() Snapshot {
+	if c == nil {
+		return Snapshot{}
+	}
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	s := c.snapshotLocked()
+	c.queryDurations, c.negSolSizes, c.optSolCounts, c.candidates = nil, nil, nil, nil
+	c.satClauses, c.satVars, c.coreSizes = nil, nil, nil
+	c.coreEvictions, c.fmCapHits, c.storeHits, c.storeMisses = 0, 0, 0, 0
+	return s
+}
+
+func (c *Collector) snapshotLocked() Snapshot {
 	s := Snapshot{
 		Queries:        len(c.queryDurations),
 		NegSolutions:   len(c.negSolSizes),
@@ -254,32 +219,6 @@ func (s Snapshot) Add(o Snapshot) Snapshot {
 	s.StoreHits += o.StoreHits
 	s.StoreMisses += o.StoreMisses
 	return s
-}
-
-// Sub returns the field-wise difference s − o: the activity recorded between
-// the moment o was taken and the moment s was taken on the same collector.
-func (s Snapshot) Sub(o Snapshot) Snapshot {
-	s.Queries -= o.Queries
-	for i := range s.QueryBuckets {
-		s.QueryBuckets[i] -= o.QueryBuckets[i]
-	}
-	s.NegSolutions -= o.NegSolutions
-	s.OptCalls -= o.OptCalls
-	s.CandidateSteps -= o.CandidateSteps
-	s.SATFormulas -= o.SATFormulas
-	s.UnsatCores -= o.UnsatCores
-	s.CoreEvictions -= o.CoreEvictions
-	s.FMCapHits -= o.FMCapHits
-	s.StoreHits -= o.StoreHits
-	s.StoreMisses -= o.StoreMisses
-	return s
-}
-
-// CoreSizes returns a copy of the recorded unsat-core sizes.
-func (c *Collector) CoreSizes() []int {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return append([]int(nil), c.coreSizes...)
 }
 
 // QueryDurations returns a copy of the recorded SMT query latencies.
