@@ -91,13 +91,13 @@ cluster-smoke:
 	$(GO) test -run TestClusterSmoke -count=1 -v ./cmd/vs3router/
 
 # End-to-end check of the binary VS3R transport, the only router-to-backend
-# wire: real daemons over TCP — single verifies through the router's rpc
-# front, batch fan-out over rpc backends, a backend that does not advertise
-# rpc reported not live and sent no traffic, mid-flight cancellation reaching
-# the backend, hedging with counters on /metrics, and the vs3load -proto rpc
-# harness path.
+# wire, driven through the router's HTTP edge (its only client edge) over
+# real daemons on TCP: single verifies and batch fan-out over rpc backends,
+# a backend that does not advertise rpc reported not live and sent no
+# traffic, a client disconnect reaching the backend as a stream cancel, and
+# hedging with counters on /metrics.
 rpc-smoke:
-	$(GO) test -run 'TestRPCSmoke|TestLoadProtoRPC' -count=1 -v ./cmd/vs3router/
+	$(GO) test -run '^TestRPCSmoke$$' -count=1 -v ./cmd/vs3router/
 
 # End-to-end check of warm-start persistence: the real vs3d daemon booted
 # twice on one -store directory (second lifetime must replay the solved
@@ -150,7 +150,9 @@ perfbench-check:
 # Hedging gate: hedged vs unhedged routing over a store-backed 2-backend
 # fleet with one stalled backend, asserting hedging wins p99 with identical
 # verdicts across the corpus. The gate is a wall-clock comparison, so the
-# test skips under plain `go test ./...` and only runs with -wallclock.
+# test skips under plain `go test ./...`, where it would compete with the
+# rest of the suite for CPU, and only runs with -wallclock; CI runs it as
+# its own step.
 bench-rpc:
 	$(GO) test -run '^TestRPCBench$$' -count=1 -v ./cmd/vs3router/ -args -wallclock
 

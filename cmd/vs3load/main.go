@@ -9,13 +9,11 @@
 // Usage:
 //
 //	vs3load -url http://localhost:8079 [-c 8] [-n 200] [-timeout-ms 0]
-//	        [-proto http|rpc] [-corpus default|smoke] [-client KEY] [-json out.json]
+//	        [-corpus default|smoke] [-client KEY] [-json out.json]
 //	        [-restart-cmd 'systemctl restart vs3d'] [-restart-wait 30s]
 //
-// -proto rpc switches the verify traffic onto the target's binary VS3R
-// endpoint (discovered from the X-VS3-RPC header on GET /healthz):
-// persistent multiplexed connections instead of one HTTP request per
-// verify. Health checks and /v1/stats probes stay on HTTP.
+// Every verify is one HTTP POST to /v1/verify, the only client edge of both
+// vs3d and vs3router; /v1/stats probes and health checks are HTTP too.
 //
 // With -restart-cmd the run becomes the warm-restart scenario: the normal
 // load phase runs first, then the command is executed (it must restart the
@@ -50,7 +48,6 @@ func main() {
 	conc := flag.Int("c", 8, "concurrent requests")
 	n := flag.Int("n", 0, "total requests (0 = 4 passes over the corpus)")
 	timeoutMS := flag.Int64("timeout-ms", 0, "per-request deadline forwarded to the server (0 = server default)")
-	proto := flag.String("proto", "http", "verify transport: http or rpc (binary VS3R)")
 	corpusName := flag.String("corpus", "default", "corpus: default or smoke")
 	clientKey := flag.String("client", "vs3load", "client key for per-client fair queueing")
 	jsonOut := flag.String("json", "", "also write the report as JSON to this file")
@@ -71,10 +68,6 @@ func main() {
 
 	ctx, cancel := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
 	defer cancel()
-	if *proto != "http" && *proto != "rpc" {
-		fmt.Fprintf(os.Stderr, "vs3load: unknown proto %q (want http or rpc)\n", *proto)
-		os.Exit(1)
-	}
 	opts := load.Options{
 		BaseURL:     *url,
 		Corpus:      corpus,
@@ -82,7 +75,6 @@ func main() {
 		Requests:    *n,
 		TimeoutMS:   *timeoutMS,
 		ClientKey:   *clientKey,
-		Proto:       *proto,
 	}
 
 	if *restartCmd != "" {

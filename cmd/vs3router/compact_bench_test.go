@@ -344,7 +344,7 @@ func TestCompactBench(t *testing.T) {
 	d1, d2 := t.TempDir(), t.TempDir()
 	b1, stopB1 := startStoreBackend(t, "fleet-1", d1)
 	b2, stopB2 := startStoreBackend(t, "fleet-2", d2)
-	warmBase, _, stopWarm := startRouter(t, route.Config{
+	warmBase, stopWarm := startRouter(t, route.Config{
 		Backends: []string{b1.URL, b2.URL}, Weights: warmWeights, Policy: route.Affinity,
 	})
 	waitProto(t, warmBase, map[string]string{b1.URL: "rpc", b2.URL: "rpc"})
@@ -360,7 +360,7 @@ func TestCompactBench(t *testing.T) {
 		defer s1()
 		c2, s2 := startStoreBackend(t, name+"-2", copyStoreLog(t, d2))
 		defer s2()
-		base, _, stopR := startRouter(t, route.Config{
+		base, stopR := startRouter(t, route.Config{
 			Backends: []string{c1.URL, c2.URL}, Weights: newWeights,
 			Policy: route.Affinity, StoreAware: storeAware,
 			HealthInterval: 50 * time.Millisecond,

@@ -2,8 +2,10 @@
 // hashes every request's problem key onto a fleet of vs3d backends, so each
 // backend's interner, incremental smt.Context lanes, and unsat-core store
 // stay hot for its slice of the keyspace (see internal/route and DESIGN.md
-// §13). It health-checks the fleet, fails requests over to the next live
-// node in ring order, and splits /v1/batch requests by backend affinity.
+// §13). It health-checks the fleet and fails requests over to the next live
+// node in ring order. HTTP is its only client edge. A /v1/batch request
+// takes the same path as /v1/verify item by item, with at most a backend's
+// session-pool size of one batch's items in flight at that backend.
 // Every request and batch item reaches its backend over the binary VS3R
 // protocol, on persistent multiplexed connections to the endpoint the
 // backend advertises (X-VS3-RPC); a backend that advertises none is not
@@ -13,21 +15,18 @@
 // Usage:
 //
 //	vs3router -backend http://10.0.0.1:8080=2 -backend http://10.0.0.2:8080 \
-//	          [-addr :8079] [-rpc :8078] [-replicas 128] \
+//	          [-addr :8079] [-replicas 128] \
 //	          [-health-interval 2s] [-hedge] [-hedge-min 10ms] [-hedge-max 1s] \
 //	          [-store-aware=true] [-id NAME]
 //
 // Each -backend flag names one vs3d base URL with an optional =WEIGHT ring
 // share multiplier (default 1; a weight-2 backend owns about twice the
-// keyspace of a weight-1 one). The older -backends comma-separated form is
-// still accepted; the two may be mixed.
+// keyspace of a weight-1 one).
 //
-// -rpc ADDR additionally serves the binary VS3R protocol on ADDR, so bulk
-// clients (cmd/vs3load -proto rpc) reach the fleet without per-request HTTP
-// overhead. -hedge enables request hedging: when the key's owner has not
-// answered within an adaptive delay (rolling p95 of backend latency, clamped
-// to [-hedge-min, -hedge-max]), the request is also fired at the ring
-// successor and the loser is cancelled.
+// -hedge enables request hedging: when the key's owner has not answered
+// within an adaptive delay (rolling p95 of backend latency, clamped to
+// [-hedge-min, -hedge-max]), the request is also fired at the ring
+// successor and the loser is cancelled. Batch items hedge the same way.
 //
 // -store-aware (default true) enables store-aware placement: the health
 // sweep keeps a bloom digest of each backend's solved problem keys, and a
@@ -40,7 +39,7 @@
 //
 //	POST /v1/verify         routed by problem key
 //	POST /v1/preconditions  routed by problem key
-//	POST /v1/batch          split by affinity, fanned out, merged
+//	POST /v1/batch          every item routed like /v1/verify, results streamed as NDJSON
 //	GET  /v1/stats          router counters + per-backend rows + fleet totals
 //	GET  /metrics           Prometheus text format
 //	GET  /healthz           200 while at least one backend is live
@@ -62,13 +61,10 @@ import (
 	"time"
 
 	"repro/internal/route"
-	"repro/internal/rpc"
 )
 
 func main() {
 	addr := flag.String("addr", ":8079", "listen address")
-	rpcAddr := flag.String("rpc", "", "binary rpc front listen address (empty = HTTP front only)")
-	backends := flag.String("backends", "", "comma-separated vs3d base URLs")
 	var urls []string
 	var weights []float64
 	flag.Func("backend", "one vs3d base URL, optionally URL=WEIGHT (repeatable)", func(v string) error {
@@ -87,15 +83,8 @@ func main() {
 	hedgeMax := flag.Duration("hedge-max", time.Second, "cap on the adaptive hedge delay")
 	storeAware := flag.Bool("store-aware", true, "prefer backends whose knowledge-store digest claims a request's problem key")
 	id := flag.String("id", "vs3router", "router identity reported in stats and metrics")
-	flag.DurationVar(&rpcFrameTimeout, "rpc-write-timeout", rpcFrameTimeout, "per-frame rpc write deadline; a stalled peer's connection is torn down on expiry (negative = none)")
 	flag.Parse()
 
-	for _, u := range strings.Split(*backends, ",") {
-		if u = strings.TrimSpace(u); u != "" {
-			urls = append(urls, strings.TrimRight(u, "/"))
-			weights = append(weights, 1)
-		}
-	}
 	cfg := route.Config{
 		Backends:       urls,
 		Weights:        weights,
@@ -112,17 +101,9 @@ func main() {
 		fmt.Fprintln(os.Stderr, "vs3router:", err)
 		os.Exit(1)
 	}
-	var rpcLn net.Listener
-	if *rpcAddr != "" {
-		rpcLn, err = net.Listen("tcp", *rpcAddr)
-		if err != nil {
-			fmt.Fprintln(os.Stderr, "vs3router:", err)
-			os.Exit(1)
-		}
-	}
 	ctx, cancel := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
 	defer cancel()
-	if err := run(ctx, ln, rpcLn, cfg, log.Default()); err != nil {
+	if err := run(ctx, ln, cfg, log.Default()); err != nil {
 		fmt.Fprintln(os.Stderr, "vs3router:", err)
 		os.Exit(1)
 	}
@@ -145,69 +126,29 @@ func parseBackend(v string) (url string, weight float64, err error) {
 	return url, weight, nil
 }
 
-// run serves on ln (and the binary rpc front on rpcLn, when non-nil) until
-// ctx is cancelled, then shuts down gracefully. Split from main so the
-// cluster smoke test and benchmark can drive the real router on an
-// ephemeral port.
-// rpcFrameTimeout is the per-frame write deadline run hands the rpc server
-// (main overrides it from -rpc-write-timeout).
-var rpcFrameTimeout = 10 * time.Second
-
-func run(ctx context.Context, ln, rpcLn net.Listener, cfg route.Config, logger *log.Logger) error {
+// run serves on ln until ctx is cancelled, then shuts down gracefully.
+// Split from main so the cluster smoke test and benchmark can drive the
+// real router on an ephemeral port.
+func run(ctx context.Context, ln net.Listener, cfg route.Config, logger *log.Logger) error {
 	router, err := route.New(cfg)
 	if err != nil {
 		return err
 	}
 	defer router.Close()
-	var rpcSrv *rpc.Server
-	if rpcLn != nil {
-		rpcSrv = rpc.NewServer(router, rpc.ServerConfig{Logf: logger.Printf, WriteTimeout: rpcFrameTimeout})
-		router.AdvertiseRPC(rpc.AdvertiseAddr(rpcLn.Addr()))
-		go func() {
-			if err := rpcSrv.Serve(rpcLn); err != nil && !errors.Is(err, net.ErrClosed) {
-				logger.Printf("vs3router: rpc serve: %v", err)
-			}
-		}()
-	}
 	srv := &http.Server{Handler: router.Handler()}
 	errc := make(chan error, 1)
 	go func() { errc <- srv.Serve(ln) }()
-	if rpcLn != nil {
-		logger.Printf("vs3router: serving on %s (binary rpc on %s), routing over %d backends",
-			ln.Addr(), rpcLn.Addr(), len(cfg.Backends))
-	} else {
-		logger.Printf("vs3router: serving on %s, routing over %d backends",
-			ln.Addr(), len(cfg.Backends))
-	}
+	logger.Printf("vs3router: serving on %s, routing over %d backends", ln.Addr(), len(cfg.Backends))
 	select {
 	case err := <-errc:
-		if rpcSrv != nil {
-			rpcLn.Close()
-			rpcSrv.Close()
-		}
 		return err
 	case <-ctx.Done():
 	}
 	logger.Printf("vs3router: shutting down")
-	if rpcSrv != nil {
-		rpcSrv.StartDrain()
-	}
 	shutCtx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
 	defer cancel()
-	shutErr := srv.Shutdown(shutCtx)
-	if rpcSrv != nil {
-		for {
-			_, streams, _, _ := rpcSrv.Stats()
-			if streams == 0 || shutCtx.Err() != nil {
-				break
-			}
-			time.Sleep(25 * time.Millisecond)
-		}
-		rpcLn.Close()
-		rpcSrv.Close()
-	}
-	if shutErr != nil {
-		return shutErr
+	if err := srv.Shutdown(shutCtx); err != nil {
+		return err
 	}
 	if err := <-errc; !errors.Is(err, http.ErrServerClosed) {
 		return err

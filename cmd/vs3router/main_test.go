@@ -71,16 +71,10 @@ func (b *backend) close() {
 }
 
 // startRouter boots the real vs3router daemon (the same run() main drives)
-// on an ephemeral port and returns its base URL plus a shutdown func. A
-// binary rpc front listener is always served alongside, the way
-// `vs3router -rpc :0` would.
-func startRouter(t *testing.T, cfg route.Config) (string, string, func()) {
+// on an ephemeral port and returns its base URL plus a shutdown func.
+func startRouter(t *testing.T, cfg route.Config) (string, func()) {
 	t.Helper()
 	ln, err := net.Listen("tcp", "127.0.0.1:0")
-	if err != nil {
-		t.Fatal(err)
-	}
-	rpcLn, err := net.Listen("tcp", "127.0.0.1:0")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -89,7 +83,7 @@ func startRouter(t *testing.T, cfg route.Config) (string, string, func()) {
 	}
 	ctx, cancel := context.WithCancel(context.Background())
 	done := make(chan error, 1)
-	go func() { done <- run(ctx, ln, rpcLn, cfg, log.New(io.Discard, "", 0)) }()
+	go func() { done <- run(ctx, ln, cfg, log.New(io.Discard, "", 0)) }()
 	base := "http://" + ln.Addr().String()
 	waitHealthy(t, base)
 	stop := func() {
@@ -103,7 +97,7 @@ func startRouter(t *testing.T, cfg route.Config) (string, string, func()) {
 			t.Error("router did not shut down")
 		}
 	}
-	return base, rpcLn.Addr().String(), stop
+	return base, stop
 }
 
 func waitHealthy(t *testing.T, base string) {
@@ -149,7 +143,7 @@ func verifyVia(t *testing.T, base, spec, method string) (*http.Response, serve.V
 func TestClusterSmoke(t *testing.T) {
 	b1 := startBackend(t, "smoke-1")
 	b2 := startBackend(t, "smoke-2")
-	base, _, stop := startRouter(t, route.Config{Backends: []string{b1.hts.URL, b2.hts.URL}})
+	base, stop := startRouter(t, route.Config{Backends: []string{b1.hts.URL, b2.hts.URL}})
 	defer stop()
 	waitProto(t, base, map[string]string{b1.hts.URL: "rpc", b2.hts.URL: "rpc"})
 
@@ -295,7 +289,7 @@ func TestClusterBench(t *testing.T) {
 
 	// Arm 2: two fresh backends behind affinity routing.
 	a1, a2 := startBackend(t, "bench-aff-1"), startBackend(t, "bench-aff-2")
-	affBase, _, affStop := startRouter(t, route.Config{
+	affBase, affStop := startRouter(t, route.Config{
 		Backends: []string{a1.hts.URL, a2.hts.URL}, Policy: route.Affinity,
 	})
 	waitProto(t, affBase, map[string]string{a1.hts.URL: "rpc", a2.hts.URL: "rpc"})

@@ -32,23 +32,22 @@ func openBenchStore(t *testing.T) *store.Store {
 	return st
 }
 
-// loadArm runs corpus against base over the given transport and fails the
-// test on any wrong verdict or transport error.
-func loadArm(t *testing.T, base, proto string, corpus []load.Item, requests int) load.Result {
+// loadArm runs corpus against base and fails the test on any wrong verdict
+// or transport error.
+func loadArm(t *testing.T, base string, corpus []load.Item, requests int) load.Result {
 	t.Helper()
 	res, err := load.Run(context.Background(), load.Options{
 		BaseURL:     base,
 		Corpus:      corpus,
 		Concurrency: 4,
 		Requests:    requests,
-		Proto:       proto,
 		ClientKey:   "bench",
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
 	if res.Incorrect != 0 || res.Errors != 0 || res.Aborted != 0 || res.Shed != 0 {
-		t.Fatalf("arm %s (%s) degraded: %+v", base, proto, res)
+		t.Fatalf("arm %s degraded: %+v", base, res)
 	}
 	return res
 }
@@ -82,9 +81,9 @@ func TestRPCBench(t *testing.T) {
 	bSlow := startRPCBackend(t, serve.Config{ID: "bench-stalled", Store: openBenchStore(t)}, func(h rpc.Handler) rpc.Handler { stall.inner = h; return stall })
 	bOK := startRPCBackend(t, serve.Config{ID: "bench-ok", Store: openBenchStore(t)}, nil)
 	degraded := []string{bSlow.hts.URL, bOK.hts.URL}
-	unhedgedBase, _, unhedgedStop := startRouter(t, route.Config{Backends: degraded})
+	unhedgedBase, unhedgedStop := startRouter(t, route.Config{Backends: degraded})
 	defer unhedgedStop()
-	hedgedBase, _, hedgedStop := startRouter(t, route.Config{
+	hedgedBase, hedgedStop := startRouter(t, route.Config{
 		Backends: degraded,
 		Hedge:    true,
 		HedgeMin: 5 * time.Millisecond,
@@ -96,10 +95,10 @@ func TestRPCBench(t *testing.T) {
 
 	// Warm both stores on the whole corpus, hitting each backend directly
 	// so the successor holds every owner's outcomes too.
-	loadArm(t, bSlow.hts.URL, "http", corpus, len(corpus))
-	loadArm(t, bOK.hts.URL, "http", corpus, len(corpus))
-	unhedged := loadArm(t, unhedgedBase, "http", corpus, 2*len(corpus))
-	hedged := loadArm(t, hedgedBase, "http", corpus, 2*len(corpus))
+	loadArm(t, bSlow.hts.URL, corpus, len(corpus))
+	loadArm(t, bOK.hts.URL, corpus, len(corpus))
+	unhedged := loadArm(t, unhedgedBase, corpus, 2*len(corpus))
+	hedged := loadArm(t, hedgedBase, corpus, 2*len(corpus))
 	hedgeStats := fetchRouterStats(t, hedgedBase)
 
 	t.Logf("unhedged: p99=%.1f ms; hedged: p99=%.1f ms (fired=%d won=%d)", unhedged.P99MS, hedged.P99MS, hedgeStats.HedgeFired, hedgeStats.HedgeWon)

@@ -88,26 +88,12 @@ func waitProto(t *testing.T, base string, want map[string]string) {
 	}
 }
 
-func callVerify(t *testing.T, c *rpc.Client, spec, method string) (rpc.Response, serve.VerifyResponse) {
-	t.Helper()
-	resp, err := c.Call(context.Background(), rpc.Request{Kind: rpc.KindVerify, Method: method, Spec: spec})
-	if err != nil {
-		t.Fatalf("rpc call: %v", err)
-	}
-	var vr serve.VerifyResponse
-	if resp.Status == http.StatusOK {
-		if err := json.Unmarshal(resp.Body, &vr); err != nil {
-			t.Fatalf("decoding %q: %v", resp.Body, err)
-		}
-	}
-	return resp, vr
-}
-
-// TestRPCSmoke is `make rpc-smoke`: the binary transport end to end over
-// real TCP daemons — single verifies through the router's rpc front, batch
-// fan-out over rpc backends, a backend that does not advertise rpc reported
-// not live and sent no traffic, mid-flight cancellation reaching the
-// backend, and hedging with counters on /metrics.
+// TestRPCSmoke is `make rpc-smoke`: the VS3R router-to-backend wire end to
+// end over real TCP daemons, driven through the router's HTTP edge (its
+// only client edge) — single verifies and batch fan-out over rpc backends,
+// a backend that does not advertise rpc reported not live and sent no
+// traffic, a client's mid-flight disconnect reaching the backend as a
+// stream cancel, and hedging with counters on /metrics.
 func TestRPCSmoke(t *testing.T) {
 	corpus := load.SmokeCorpus()
 
@@ -117,25 +103,22 @@ func TestRPCSmoke(t *testing.T) {
 	b3 := httptest.NewServer(serve.New(serve.Config{ID: "http-only", Pool: 2}).Handler())
 	t.Cleanup(b3.Close)
 	urls := []string{b1.hts.URL, b2.hts.URL, b3.URL}
-	base, rpcBase, stop := startRouter(t, route.Config{Backends: urls})
+	base, stop := startRouter(t, route.Config{Backends: urls})
 	defer stop()
 	waitProto(t, base, map[string]string{b1.hts.URL: "rpc", b2.hts.URL: "rpc", b3.URL: "none"})
 
-	c := rpc.NewClient(rpcBase, rpc.ClientConfig{})
-	defer c.Close()
-
-	// Single verifies over the binary front: correct verdicts, problem keys,
-	// and a backend identity on every response.
+	// Single verifies through the router: correct verdicts, problem keys,
+	// and an rpc backend's identity on every response.
 	for _, item := range corpus {
-		resp, vr := callVerify(t, c, item.Spec, item.Method)
-		if resp.Status != http.StatusOK || !vr.Proved {
-			t.Fatalf("%s over rpc: status=%d proved=%v body=%s", item.Name, resp.Status, vr.Proved, resp.Body)
+		resp, vr := verifyVia(t, base, item.Spec, item.Method)
+		if resp.StatusCode != http.StatusOK || !vr.Proved {
+			t.Fatalf("%s through the router: status=%d proved=%v", item.Name, resp.StatusCode, vr.Proved)
 		}
-		if resp.ProblemKey != serve.ProblemKey(item.Spec) {
-			t.Fatalf("%s: problem key %q", item.Name, resp.ProblemKey)
+		if k := resp.Header.Get("X-VS3-Problem-Key"); k != serve.ProblemKey(item.Spec) {
+			t.Fatalf("%s: problem key %q", item.Name, k)
 		}
-		if resp.Backend == "" {
-			t.Fatalf("%s: no backend identity on the rpc response", item.Name)
+		if id := resp.Header.Get("X-VS3-Backend"); id != "rpc-1" && id != "rpc-2" {
+			t.Fatalf("%s: backend identity %q, want an rpc backend", item.Name, id)
 		}
 	}
 
@@ -158,14 +141,14 @@ func TestRPCSmoke(t *testing.T) {
 			continue
 		}
 		owned++
-		resp, vr := callVerify(t, c, spec, "lfp")
-		if resp.Status != http.StatusOK || !vr.Proved || (resp.Backend != "rpc-1" && resp.Backend != "rpc-2") {
-			t.Fatalf("spec owned by the HTTP-only backend: status=%d proved=%v backend=%q", resp.Status, vr.Proved, resp.Backend)
+		resp, vr := verifyVia(t, base, spec, "lfp")
+		if id := resp.Header.Get("X-VS3-Backend"); resp.StatusCode != http.StatusOK || !vr.Proved || (id != "rpc-1" && id != "rpc-2") {
+			t.Fatalf("spec owned by the HTTP-only backend: status=%d proved=%v backend=%q", resp.StatusCode, vr.Proved, id)
 		}
 	}
 
-	// Batch through the router's HTTP front: every item takes the
-	// multiplexed per-item path over the rpc backends.
+	// Batch through the router: every item takes the same per-item path
+	// over the rpc backends.
 	var items []serve.VerifyRequest
 	for _, it := range corpus {
 		items = append(items, serve.VerifyRequest{Spec: it.Spec, Method: it.Method})
@@ -205,20 +188,27 @@ func TestRPCSmoke(t *testing.T) {
 		t.Errorf("HTTP-only backend served %d requests, want none", n)
 	}
 
-	// --- Fleet 2: cancellation. A client abandoning its stream must reach
-	// the stalled backend as a context cancel, leaving no open stream. ---
+	// --- Fleet 2: cancellation. A client abandoning its HTTP request must
+	// reach the stalled backend as a stream cancel, leaving no open stream. ---
 	slow := &delayRPC{delay: 30 * time.Second}
 	bSlow := startRPCBackend(t, serve.Config{ID: "stalled"}, func(h rpc.Handler) rpc.Handler { slow.inner = h; return slow })
-	cbase, crpc, cstop := startRouter(t, route.Config{Backends: []string{bSlow.hts.URL}})
+	cbase, cstop := startRouter(t, route.Config{Backends: []string{bSlow.hts.URL}})
 	defer cstop()
 	waitProto(t, cbase, map[string]string{bSlow.hts.URL: "rpc"})
 
-	cc := rpc.NewClient(crpc, rpc.ClientConfig{})
-	defer cc.Close()
 	cctx, ccancel := context.WithCancel(context.Background())
 	callErr := make(chan error, 1)
 	go func() {
-		_, err := cc.Call(cctx, rpc.Request{Kind: rpc.KindVerify, Method: "lfp", Spec: corpus[0].Spec})
+		vb, _ := json.Marshal(serve.VerifyRequest{Spec: corpus[0].Spec, Method: "lfp"})
+		req, err := http.NewRequestWithContext(cctx, http.MethodPost, cbase+"/v1/verify", bytes.NewReader(vb))
+		if err != nil {
+			callErr <- err
+			return
+		}
+		resp, err := http.DefaultClient.Do(req)
+		if err == nil {
+			resp.Body.Close()
+		}
 		callErr <- err
 	}()
 	time.Sleep(100 * time.Millisecond)
@@ -226,10 +216,10 @@ func TestRPCSmoke(t *testing.T) {
 	select {
 	case err := <-callErr:
 		if err == nil {
-			t.Fatal("cancelled rpc call returned no error")
+			t.Fatal("cancelled request returned no error")
 		}
 	case <-time.After(5 * time.Second):
-		t.Fatal("cancelled rpc call never returned")
+		t.Fatal("cancelled request never returned")
 	}
 	deadline := time.Now().Add(5 * time.Second)
 	for {
@@ -248,7 +238,7 @@ func TestRPCSmoke(t *testing.T) {
 	slow2 := &delayRPC{delay: 5 * time.Second}
 	bSlow2 := startRPCBackend(t, serve.Config{ID: "hedge-slow"}, func(h rpc.Handler) rpc.Handler { slow2.inner = h; return slow2 })
 	bFast := startRPCBackend(t, serve.Config{ID: "hedge-fast"}, nil)
-	hbase, _, hstop := startRouter(t, route.Config{
+	hbase, hstop := startRouter(t, route.Config{
 		Backends: []string{bSlow2.hts.URL, bFast.hts.URL},
 		Hedge:    true,
 		HedgeMin: 5 * time.Millisecond,
@@ -296,29 +286,5 @@ func TestRPCSmoke(t *testing.T) {
 		if !strings.Contains(mbuf.String(), want) {
 			t.Errorf("/metrics missing %s", want)
 		}
-	}
-}
-
-// TestLoadProtoRPC drives the load harness in -proto rpc mode against a
-// single rpc-advertising backend: discovery via X-VS3-RPC, all verdicts
-// correct over the binary transport, stats deltas still read over HTTP.
-func TestLoadProtoRPC(t *testing.T) {
-	b := startRPCBackend(t, serve.Config{ID: "load-rpc"}, nil)
-	res, err := load.Run(context.Background(), load.Options{
-		BaseURL:     b.hts.URL,
-		Corpus:      load.SmokeCorpus(),
-		Concurrency: 2,
-		Requests:    8,
-		Proto:       "rpc",
-		ClientKey:   "rpc-smoke",
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if res.OK != 8 || res.Incorrect != 0 || res.Errors != 0 {
-		t.Fatalf("rpc load run: %+v", res)
-	}
-	if res.SMTQueries+res.SMTCacheHits == 0 {
-		t.Error("stats probe over HTTP saw no SMT activity from the rpc run")
 	}
 }

@@ -93,10 +93,16 @@ func Table3And5(w io.Writer, r *Runner) {
 // Table4 times the data-sensitive array/list programs under all three
 // algorithms (Table 4).
 func Table4(w io.Writer, r *Runner) {
+	tasks := ArrayListTasks()
+	renderTable4(w, tasks, r.RunAll(tasks))
+}
+
+// renderTable4 prints Table 4 from one measurement list per task, each
+// holding one measurement per method (RunAll's shape).
+func renderTable4(w io.Writer, tasks []Task, results [][]Measurement) {
 	fmt.Fprintln(w, "Table 4: time (secs) for data-sensitive array/list programs")
 	fmt.Fprintf(w, "  %-20s %-10s %-10s %-10s\n", "Benchmark", "LFP", "GFP", "CFP")
-	tasks := ArrayListTasks()
-	for ti, ms := range r.RunAll(tasks) {
+	for ti, ms := range results {
 		times := map[core.Method]string{}
 		for _, m := range ms {
 			times[m.Method] = fmtDur(m)

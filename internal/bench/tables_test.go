@@ -20,21 +20,82 @@ func TestTable1Static(t *testing.T) {
 	}
 }
 
+// TestTable4Renders checks the Table 4 renderer on a fixed measurement set
+// that produces every cell string fmtDur can print, so the test needs no
+// solve. The real runs behind Figures 4 and 6–9 are TestSuiteTableRenders'.
 func TestTable4Renders(t *testing.T) {
-	if testing.Short() {
-		t.Skip("table run skipped in -short mode")
+	cells := []struct {
+		m    Measurement
+		want string
+	}{
+		{Measurement{Proved: true, Duration: 1500 * time.Millisecond}, "1.50s"},
+		{Measurement{Proved: true, Truncated: true, Duration: 50 * time.Millisecond}, "0.05s*"},
+		{Measurement{}, "fail"},
+		{Measurement{Truncated: true}, "fail*"},
+		{Measurement{Aborted: true}, "aborted"},
+		{Measurement{Err: errTimeout{}}, "timeout"},
 	}
-	// A tight per-run budget: this test checks the table renders and the
-	// collector populates, not which cells succeed.
-	c := stats.New()
-	r := &Runner{Timeout: 8 * time.Second, Stats: c}
-	var b strings.Builder
-	Table4(&b, r)
-	out := b.String()
-	for _, want := range []string{"Consumer Producer", "Partition Array", "List Init", "LFP", "GFP", "CFP"} {
-		if !strings.Contains(out, want) {
-			t.Errorf("Table 4 missing %q:\n%s", want, out)
+	tasks := ArrayListTasks()
+	results := make([][]Measurement, len(tasks))
+	want := make([]map[core.Method]string, len(tasks))
+	k := 0
+	for ti, task := range tasks {
+		want[ti] = map[core.Method]string{}
+		for _, method := range task.methods() {
+			c := cells[k%len(cells)]
+			k++
+			c.m.Task, c.m.Method = task.Name, method
+			results[ti] = append(results[ti], c.m)
+			want[ti][method] = c.want
 		}
+	}
+	if k < len(cells) {
+		t.Fatalf("Table 4 has %d cells, fewer than the %d cell strings under test", k, len(cells))
+	}
+	var b strings.Builder
+	renderTable4(&b, tasks, results)
+	out := b.String()
+	for _, wantStr := range []string{"Consumer Producer", "Partition Array", "List Init", "LFP", "GFP", "CFP"} {
+		if !strings.Contains(out, wantStr) {
+			t.Errorf("Table 4 missing %q:\n%s", wantStr, out)
+		}
+	}
+	lines := strings.Split(strings.TrimRight(out, "\n"), "\n")
+	if len(lines) != 2+len(tasks) {
+		t.Fatalf("Table 4 has %d lines, want a title, a header and %d rows:\n%s", len(lines), len(tasks), out)
+	}
+	for ti, task := range tasks {
+		row := lines[2+ti]
+		if !strings.HasPrefix(row, "  "+task.Name) {
+			t.Errorf("row %d is %q, want task %s", ti, row, task.Name)
+			continue
+		}
+		got := strings.Fields(row[2+len(task.Name):])
+		wantRow := []string{want[ti][core.LFP], want[ti][core.GFP], want[ti][core.CFP]}
+		if strings.Join(got, " ") != strings.Join(wantRow, " ") {
+			t.Errorf("%s cells %v, want %v (LFP GFP CFP)", task.Name, got, wantRow)
+		}
+	}
+}
+
+// TestSuiteTableRenders runs the quick suite (List Delete under LFP, GFP
+// and CFP) and renders its table, then Figures 4 and 6–9 from the
+// collector those runs filled.
+func TestSuiteTableRenders(t *testing.T) {
+	if testing.Short() {
+		t.Skip("suite run skipped in -short mode")
+	}
+	c := stats.New()
+	var b strings.Builder
+	SuiteTable(&b, &Runner{Timeout: 30 * time.Second, Stats: c}, "quick", QuickSuite())
+	out := b.String()
+	for _, want := range []string{"Suite quick", "List Delete", "LFP", "GFP", "CFP", "queries", "fm-scratch"} {
+		if !strings.Contains(out, want) {
+			t.Errorf("suite table missing %q:\n%s", want, out)
+		}
+	}
+	if rows := strings.Count(out, "List Delete"); rows != 3 {
+		t.Errorf("suite table has %d List Delete rows, want one per method:\n%s", rows, out)
 	}
 	// The runs must have populated the collector for Figures 4 and 6-9.
 	if len(c.QueryDurations()) == 0 {
@@ -49,23 +110,6 @@ func TestTable4Renders(t *testing.T) {
 	Figure7(&f, c)
 	Figure8(&f, c)
 	Figure9(&f, c)
-}
-
-func TestSuiteTableRenders(t *testing.T) {
-	if testing.Short() {
-		t.Skip("suite run skipped in -short mode")
-	}
-	var b strings.Builder
-	SuiteTable(&b, &Runner{Timeout: 30 * time.Second, Stats: stats.New()}, "quick", QuickSuite())
-	out := b.String()
-	for _, want := range []string{"Suite quick", "List Delete", "LFP", "GFP", "CFP", "queries", "fm-scratch"} {
-		if !strings.Contains(out, want) {
-			t.Errorf("suite table missing %q:\n%s", want, out)
-		}
-	}
-	if rows := strings.Count(out, "List Delete"); rows != 3 {
-		t.Errorf("suite table has %d List Delete rows, want one per method:\n%s", rows, out)
-	}
 }
 
 func TestWithJunkPredicates(t *testing.T) {

@@ -3,9 +3,10 @@
 // the scale-out story is judged on: p50/p95/p99 latency, throughput, shed
 // rate, verdict correctness, and the server-side cache economics
 // (from-scratch SMT queries and cache-hit ratio, read as /v1/stats deltas).
-// cmd/vs3load is the CLI; the cluster benchmark (BENCH_6) reuses Run for
-// its affinity-vs-random comparison. This harness is the regression gate
-// future scale-out and persistence PRs run against.
+// Every request is an HTTP POST, the only client edge of vs3d and
+// vs3router. cmd/vs3load is the CLI; the router's bench gates
+// (TestClusterBench, TestRPCBench) reuse Run. This harness is the
+// regression gate future scale-out and persistence PRs run against.
 package load
 
 import (
@@ -15,16 +16,11 @@ import (
 	"fmt"
 	"io"
 	"math"
-	"net"
 	"net/http"
-	"net/url"
 	"sort"
-	"strings"
 	"sync"
 	"sync/atomic"
 	"time"
-
-	"repro/internal/rpc"
 )
 
 // Item is one corpus entry: a spec, the method to run, and the expected
@@ -56,15 +52,6 @@ type Options struct {
 	ClientKey string
 	// Client overrides the HTTP client (default: shared keep-alive pool).
 	Client *http.Client
-	// Proto selects the request transport: "http" (default) posts JSON per
-	// request; "rpc" discovers the target's binary VS3R endpoint (the
-	// X-VS3-RPC header on GET /healthz) and drives verifies over persistent
-	// multiplexed connections. Stats probes and health checks stay on HTTP
-	// either way.
-	Proto string
-
-	// rpcc is the discovered binary client, set by Run when Proto is "rpc".
-	rpcc *rpc.Client
 }
 
 func (o Options) normalize() Options {
@@ -86,7 +73,6 @@ func (o Options) normalize() Options {
 // Result is one load run's report.
 type Result struct {
 	BaseURL     string  `json:"base_url"`
-	Proto       string  `json:"proto,omitempty"`
 	Concurrency int     `json:"concurrency"`
 	Requests    int     `json:"requests"`
 	Seconds     float64 `json:"seconds"`
@@ -157,20 +143,12 @@ func Run(ctx context.Context, opts Options) (Result, error) {
 	if err != nil {
 		return Result{}, fmt.Errorf("target not reachable: %w", err)
 	}
-	if opts.Proto == "rpc" {
-		addr, err := DiscoverRPC(ctx, opts.Client, opts.BaseURL)
-		if err != nil {
-			return Result{}, err
-		}
-		opts.rpcc = rpc.NewClient(addr, rpc.ClientConfig{MaxConns: (opts.Concurrency + 127) / 128, StreamsPerConn: 128})
-		defer opts.rpcc.Close()
-	}
 
 	var (
 		next      atomic.Int64
 		mu        sync.Mutex
 		latencies []float64
-		res       = Result{BaseURL: opts.BaseURL, Proto: opts.Proto, Concurrency: opts.Concurrency, Requests: opts.Requests}
+		res       = Result{BaseURL: opts.BaseURL, Concurrency: opts.Concurrency, Requests: opts.Requests}
 	)
 	start := time.Now()
 	var wg sync.WaitGroup
@@ -238,77 +216,7 @@ const (
 	outcomeError
 )
 
-// DiscoverRPC resolves base's advertised binary rpc endpoint by reading the
-// X-VS3-RPC header off GET /healthz. A bare ":port" advertisement (a daemon
-// listening on an unspecified host) is joined with base's host.
-func DiscoverRPC(ctx context.Context, client *http.Client, base string) (string, error) {
-	if client == nil {
-		client = http.DefaultClient
-	}
-	req, err := http.NewRequestWithContext(ctx, http.MethodGet, base+"/healthz", nil)
-	if err != nil {
-		return "", err
-	}
-	resp, err := client.Do(req)
-	if err != nil {
-		return "", fmt.Errorf("rpc discovery: %w", err)
-	}
-	io.Copy(io.Discard, resp.Body)
-	resp.Body.Close()
-	adv := resp.Header.Get("X-VS3-RPC")
-	if adv == "" {
-		return "", fmt.Errorf("rpc discovery: %s does not advertise a binary rpc endpoint (X-VS3-RPC)", base)
-	}
-	if !strings.HasPrefix(adv, ":") {
-		return adv, nil
-	}
-	u, err := url.Parse(base)
-	if err != nil {
-		return "", fmt.Errorf("rpc discovery: %w", err)
-	}
-	return net.JoinHostPort(u.Hostname(), strings.TrimPrefix(adv, ":")), nil
-}
-
-// runOneRPC is runOne's binary twin: one verify over a multiplexed stream.
-func runOneRPC(ctx context.Context, opts Options, item Item) (outcome, float64) {
-	start := time.Now()
-	resp, err := opts.rpcc.Call(ctx, rpc.Request{
-		Kind:      rpc.KindVerify,
-		Method:    item.Method,
-		TimeoutMS: opts.TimeoutMS,
-		Client:    opts.ClientKey,
-		Spec:      item.Spec,
-	})
-	ms := float64(time.Since(start)) / float64(time.Millisecond)
-	if err != nil {
-		return outcomeError, ms
-	}
-	switch resp.Status {
-	case http.StatusOK:
-		var vr struct {
-			Proved  bool `json:"proved"`
-			Aborted bool `json:"aborted"`
-		}
-		if err := json.Unmarshal(resp.Body, &vr); err != nil {
-			return outcomeError, ms
-		}
-		if vr.Proved != item.WantProved {
-			return outcomeIncorrect, ms
-		}
-		return outcomeOK, ms
-	case http.StatusTooManyRequests:
-		return outcomeShed, ms
-	case http.StatusGatewayTimeout, 499:
-		return outcomeAborted, ms
-	default:
-		return outcomeError, ms
-	}
-}
-
 func runOne(ctx context.Context, opts Options, item Item) (outcome, float64) {
-	if opts.rpcc != nil {
-		return runOneRPC(ctx, opts, item)
-	}
 	body, _ := json.Marshal(map[string]any{
 		"spec": item.Spec, "method": item.Method, "timeout_ms": opts.TimeoutMS,
 	})

@@ -12,18 +12,20 @@ import (
 	"repro/internal/serve"
 )
 
-// handleBatch splits one client batch by backend affinity, fans each group
-// out over its backend's VS3R pool, and merges the per-item results into one
-// NDJSON stream with the client's original item indices. Splitting by
-// affinity is the point: every item still lands on the backend that is warm
-// for its skeleton, so a bulk client pays one HTTP round trip while keeping
-// the per-key cache economics of single routed requests.
+// handleBatch runs every item of one client batch through execute, the same
+// placement, ring-order failover and hedging a single /v1/verify request
+// gets, and streams the per-item results as NDJSON (one JSON object per
+// line) with the client's original item indices. A bulk client pays one HTTP
+// round trip while every item still lands on the backend that is warm for
+// its skeleton.
 //
-// Failover is per item: when a backend dies partway through its group
-// (connection refused or cut), the items it never answered are re-grouped
-// over the remaining live backends and re-sent; only items no live backend
-// can serve come back as 502 results. Items that already produced a result
-// are never re-run.
+// Items are grouped by their placed owner, and one batch keeps at most the
+// owner's session-pool size (its batch width) in flight there: the rule the
+// backend's own batch handler uses, so a batch never overruns the backend's
+// admission queue and gets its own items shed. An item whose owner fails at
+// the transport level fails over inside execute; only items no live backend
+// can serve come back as 502 results. Every item produces exactly one
+// result.
 func (r *Router) handleBatch(w http.ResponseWriter, req *http.Request) {
 	if req.Method != http.MethodPost {
 		w.Header().Set("Allow", http.MethodPost)
@@ -60,134 +62,63 @@ func (r *Router) handleBatch(w http.ResponseWriter, req *http.Request) {
 		}
 	}
 
-	maxAttempts := len(r.backends) + 1
-	var wg sync.WaitGroup
-	var send func(indices []int, attempt int)
-
-	// fail emits terminal 502 results for items no backend could serve.
-	fail := func(indices []int, err error) {
-		r.noBackend.Add(int64(len(indices)))
-		for _, gi := range indices {
-			emit(serve.BatchResult{
-				Index:  gi,
-				Status: http.StatusBadGateway,
-				Error:  fmt.Sprintf("no live backend: %v", err),
-			})
-		}
+	// Place every item once; its candidate order (which names every
+	// backend, so it is never empty) travels with it into execute.
+	cands := make([][]int, len(batch.Items))
+	groups := map[int][]int{}
+	for i, item := range batch.Items {
+		cands[i] = r.candidates(serve.ProblemKey(item.Spec))
+		groups[cands[i][0]] = append(groups[cands[i][0]], i)
 	}
 
-	// send groups the given (global) item indices by their current best
-	// backend and sends each group; unanswered items recurse with the next
-	// attempt.
-	send = func(indices []int, attempt int) {
-		if attempt >= maxAttempts {
-			fail(indices, errors.New("failover attempts exhausted"))
-			return
+	var wg sync.WaitGroup
+	for owner, group := range groups {
+		width := int(max(1, r.backends[owner].pool.Load())) // 1 until X-VS3-Pool is seen
+		indices := make(chan int, len(group))
+		for _, i := range group {
+			indices <- i
 		}
-		groups := map[int][]int{}
-		for _, gi := range indices {
-			cands := r.candidates(serve.ProblemKey(batch.Items[gi].Spec))
-			if len(cands) == 0 {
-				fail([]int{gi}, errors.New("no backends configured"))
-				continue
-			}
-			groups[cands[0]] = append(groups[cands[0]], gi)
-		}
-		for bidx, group := range groups {
+		close(indices)
+		for range min(width, len(group)) {
 			wg.Add(1)
-			go func(bidx int, group []int) {
+			go func() {
 				defer wg.Done()
-				remaining := r.rpcGroup(ctx, r.backends[bidx], client, &batch, group, emit)
-				if len(remaining) == 0 {
-					return
+				for i := range indices {
+					item := batch.Items[i]
+					res := r.execute(ctx, cands[i], rpc.Request{
+						Kind: rpc.KindVerify, Method: item.Method, TimeoutMS: item.TimeoutMS, Client: client, Spec: item.Spec,
+					})
+					if res.err != nil {
+						r.noBackend.Add(1)
+					}
+					emit(batchResult(i, res))
 				}
-				r.backends[bidx].failovers.Add(int64(len(remaining)))
-				r.failovers.Add(int64(len(remaining)))
-				if ctx.Err() != nil {
-					fail(remaining, ctx.Err())
-					return
-				}
-				send(remaining, attempt+1)
-			}(bidx, group)
+			}()
 		}
 	}
-
-	all := make([]int, len(batch.Items))
-	for i := range all {
-		all[i] = i
-	}
-	send(all, 0)
 	wg.Wait()
 }
 
-// rpcGroup sends one affinity group's items as individual streams over the
-// backend's persistent multiplexed rpc connection. It returns the global
-// indices that failed at the transport level (the failover set) and marks
-// the backend down when any did.
-func (r *Router) rpcGroup(ctx context.Context, b *backend, client string, batch *serve.BatchRequest, group []int, emit func(serve.BatchResult)) []int {
-	c := b.rpcClient()
-	if c == nil {
-		b.healthy.Store(false)
-		return group
+// batchResult maps one item's execute result onto the NDJSON per-item
+// result shape. A success or aborted body is a serve.VerifyResponse;
+// error-shaped bodies ({"error": ...}) carry the message a standalone
+// request would have, and a total transport failure is a 502.
+func batchResult(i int, res callResult) serve.BatchResult {
+	if res.err != nil {
+		return serve.BatchResult{Index: i, Status: http.StatusBadGateway, Error: fmt.Sprintf("no live backend: %v", res.err)}
 	}
-	workers := min(16, len(group))
-	var (
-		mu      sync.Mutex
-		pending []int
-	)
-	indices := make(chan int)
-	var wg sync.WaitGroup
-	for i := 0; i < workers; i++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for gi := range indices {
-				item := batch.Items[gi]
-				resp, err := c.Call(ctx, rpc.Request{
-					Kind:      rpc.KindVerify,
-					Method:    item.Method,
-					TimeoutMS: item.TimeoutMS,
-					Client:    client,
-					Spec:      item.Spec,
-				})
-				if err != nil {
-					mu.Lock()
-					pending = append(pending, gi)
-					mu.Unlock()
-					continue
-				}
-				b.routed.Add(1)
-				emit(rpcBatchResult(gi, resp))
-			}
-		}()
-	}
-	for _, gi := range group {
-		indices <- gi
-	}
-	close(indices)
-	wg.Wait()
-	if len(pending) > 0 && ctx.Err() == nil {
-		b.healthy.Store(false)
-	}
-	return pending
-}
-
-// rpcBatchResult maps one rpc response onto the NDJSON per-item result
-// shape. A success or aborted body is a serve.VerifyResponse; error-shaped
-// bodies ({"error": ...}) carry the message a standalone request would have.
-func rpcBatchResult(gi int, resp rpc.Response) serve.BatchResult {
 	var full struct {
 		serve.VerifyResponse
 		Error string `json:"error"`
 	}
-	_ = json.Unmarshal(resp.Body, &full)
-	res := serve.BatchResult{Index: gi, Status: resp.Status, ProblemKey: resp.ProblemKey}
+	_ = json.Unmarshal(res.body, &full)
+	out := serve.BatchResult{Index: i, Status: res.status, ProblemKey: res.problemKey}
 	if full.Error != "" {
-		res.Error = full.Error
-		return res
+		out.Error = full.Error
+		return out
 	}
-	res.OK = resp.Status == http.StatusOK
+	out.OK = res.status == http.StatusOK
 	v := full.VerifyResponse
-	res.Verify = &v
-	return res
+	out.Verify = &v
+	return out
 }

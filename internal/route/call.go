@@ -99,13 +99,14 @@ func (r *Router) hedgeDelay() time.Duration {
 	return p95
 }
 
-// execute routes one request over the candidate sequence for its key. With
-// hedging enabled the first two candidates race (owner first, successor
-// after the adaptive delay); any remaining candidates serve as the
-// sequential failover tail, exactly as without hedging. The returned result
-// is terminal: a transport-level total failure comes back as err != nil.
-func (r *Router) execute(ctx context.Context, key string, req rpc.Request) callResult {
-	cands := r.candidates(key)
+// execute routes one request over cands, the candidate sequence for its
+// key (see candidates). It is the one request path: single requests and
+// every batch item go through it. With hedging enabled the first two
+// candidates race (owner first, successor after the adaptive delay); any
+// remaining candidates serve as the sequential failover tail, exactly as
+// without hedging. The returned result is terminal: a transport-level total
+// failure comes back as err != nil.
+func (r *Router) execute(ctx context.Context, cands []int, req rpc.Request) callResult {
 	if len(cands) == 0 {
 		return callResult{err: errors.New("no backends configured")}
 	}

@@ -5,10 +5,11 @@
 // survives horizontal scale-out if requests for the same problem/skeleton
 // key keep landing on the same backend. The router consistently hashes each
 // request's canonical problem key (serve.ProblemKey) onto a ring of
-// backends, health-checks the fleet, fails over to the next live node in
-// ring order, and splits /v1/batch requests by backend affinity, fanning
-// out and merging the per-item results. Requests reach backends only over
-// the binary VS3R wire (internal/rpc); the backends' HTTP URLs carry the
+// backends, health-checks the fleet, and fails over to the next live node
+// in ring order. HTTP is its only client edge, and every request — a
+// single verify or preconditions call, or one item of a /v1/batch — takes
+// the same path (Router.execute). Requests reach backends only over the
+// binary VS3R wire (internal/rpc); the backends' HTTP URLs carry the
 // control plane (/healthz sweeps, the /v1/stats fan-out).
 package route
 

@@ -118,6 +118,9 @@ type backend struct {
 	serverID  atomic.Pointer[string] // last X-VS3-Backend seen
 	routed    atomic.Int64           // requests/items routed here
 	failovers atomic.Int64           // requests moved OFF this backend after a transport failure
+	// pool is the session-pool size the backend last reported (X-VS3-Pool
+	// on /healthz); 0 until seen. It caps one batch's in-flight items here.
+	pool atomic.Int64
 
 	// The backend's VS3R connection pool, the only data-plane wire. The
 	// health sweep discovers the advertised endpoint (X-VS3-RPC) and
@@ -173,8 +176,6 @@ type Router struct {
 	ring     *ring
 	client   *http.Client
 	started  time.Time
-
-	rpcAddr atomic.Pointer[string] // advertised binary front (X-VS3-RPC)
 
 	requests   atomic.Int64 // single verify/preconditions requests proxied
 	batches    atomic.Int64
@@ -273,7 +274,9 @@ func (r *Router) healthLoop() {
 // sweep probes every backend's /healthz concurrently. A backend is live
 // only on HTTP 200 with a VS3R endpoint advertised (X-VS3-RPC) — a draining
 // backend answers 503, so drain takes it out of rotation without dropping
-// its in-flight work, and an HTTP-only backend is never routed to.
+// its in-flight work, and an HTTP-only backend is never routed to. The same
+// probe reads the backend's session-pool size (X-VS3-Pool), the width of a
+// batch at that backend.
 func (r *Router) sweep() {
 	var wg sync.WaitGroup
 	for _, b := range r.backends {
@@ -296,6 +299,9 @@ func (r *Router) sweep() {
 			resp.Body.Close()
 			if id := resp.Header.Get("X-VS3-Backend"); id != "" {
 				b.serverID.Store(&id)
+			}
+			if n, perr := strconv.ParseInt(resp.Header.Get("X-VS3-Pool"), 10, 64); perr == nil && n > 0 {
+				b.pool.Store(n)
 			}
 			addr := joinRPCAddr(b.url, resp.Header.Get("X-VS3-RPC"))
 			if addr != "" {
@@ -414,6 +420,17 @@ func (r *Router) candidates(key string) []int {
 	return append(live, dead...)
 }
 
+// Owner returns the URL of the backend that owns key on the ring (ignoring
+// health), or "" with no backends. Exported for tests and operational
+// tooling that needs to predict placement.
+func (r *Router) Owner(key string) string {
+	idx := r.ring.owner(key)
+	if idx < 0 {
+		return ""
+	}
+	return r.backends[idx].url
+}
+
 // Handler returns the router's HTTP mux.
 func (r *Router) Handler() http.Handler {
 	mux := http.NewServeMux()
@@ -436,18 +453,8 @@ func (r *Router) Handler() http.Handler {
 	id := r.cfg.ID
 	return http.HandlerFunc(func(w http.ResponseWriter, req *http.Request) {
 		w.Header().Set("X-VS3-Router", id)
-		if addr := r.rpcAddr.Load(); addr != nil {
-			w.Header().Set("X-VS3-RPC", *addr)
-		}
 		mux.ServeHTTP(w, req)
 	})
-}
-
-// AdvertiseRPC publishes the router's own binary rpc front in the
-// X-VS3-RPC response header, so bulk clients (cmd/vs3load -proto rpc)
-// discover it the same way the router discovers backends'.
-func (r *Router) AdvertiseRPC(addr string) {
-	r.rpcAddr.Store(&addr)
 }
 
 // maxProxyBody bounds a proxied request body.
@@ -477,7 +484,7 @@ func (r *Router) proxySingle(w http.ResponseWriter, req *http.Request, kind stri
 	r.requests.Add(1)
 	ctx, cancel := context.WithTimeout(req.Context(), r.cfg.RequestTimeout)
 	defer cancel()
-	res := r.execute(ctx, serve.ProblemKey(vr.Spec), rpc.Request{
+	res := r.execute(ctx, r.candidates(serve.ProblemKey(vr.Spec)), rpc.Request{
 		Kind: kind, Method: vr.Method, TimeoutMS: vr.TimeoutMS, Client: serve.ClientKey(req), Spec: vr.Spec,
 	})
 	if res.err != nil {

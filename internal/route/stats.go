@@ -229,3 +229,9 @@ func boolGauge(b bool) float64 {
 	}
 	return 0
 }
+
+// HedgeStats returns the lifetime hedge counters: hedges fired at ring
+// successors, races the hedge won, and losers cancelled after a win.
+func (r *Router) HedgeStats() (fired, won, canceled int64) {
+	return r.hedgeFired.Load(), r.hedgeWon.Load(), r.hedgeCanceled.Load()
+}

@@ -13,7 +13,7 @@
 //	POST /v1/compact        rewrite the knowledge store's live set to a fresh generation
 //	GET  /v1/stats          server-lifetime counters (pool, solver caches, merged collector)
 //	GET  /metrics           the same counters in Prometheus text format
-//	GET  /healthz           liveness probe (503 once draining)
+//	GET  /healthz           liveness probe (503 once draining); X-VS3-Pool carries the pool size
 //
 // core.Verifier is not safe for concurrent use, so the server owns a fixed
 // pool of sessions, each a verifier bound to one request at a time. All
@@ -266,6 +266,9 @@ func (s *Server) Handler() http.Handler {
 	mux.HandleFunc("/metrics", s.handleMetrics)
 	mux.HandleFunc("/healthz", func(w http.ResponseWriter, r *http.Request) {
 		w.Header().Set("Content-Type", "text/plain; charset=utf-8")
+		// The router sizes a batch's in-flight items at this backend by
+		// the session pool, the same width handleBatch uses.
+		w.Header().Set("X-VS3-Pool", strconv.Itoa(s.cfg.Pool))
 		if st := s.cfg.Store; st != nil {
 			// The outcome-digest generation rides on the probe the router
 			// already makes, so its sweep refetches the (larger) digest only

@@ -101,6 +101,9 @@ func TestVerifyAllMethodsAndHealth(t *testing.T) {
 	if resp.StatusCode != http.StatusOK {
 		t.Fatalf("healthz: status %d", resp.StatusCode)
 	}
+	if got := resp.Header.Get("X-VS3-Pool"); got != "2" {
+		t.Errorf("healthz X-VS3-Pool = %q, want the pool size 2", got)
+	}
 
 	for _, m := range []string{"lfp", "gfp", "cfp"} {
 		resp, body := postJSON(t, ts.Client(), ts.URL+"/v1/verify",
